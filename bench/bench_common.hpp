@@ -88,22 +88,9 @@ struct BenchOptions {
 // ---------------------------------------------------------------------------
 
 /// One timed experiment run for the JSON report.
-struct PerfSample {
-  std::string name;
+struct TimedRun {
+  core::ExperimentResults results;
   double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t messages = 0;
-  double t_ratio = 0.0;
-  double f_ratio = 0.0;
-  double msgs_per_node = 0.0;
-  std::uint64_t messages_partitioned = 0;
-  std::uint64_t stale_dead_provider = 0;
-  std::uint64_t stale_misplaced = 0;
-  double slot_span_ratio = 1.0;
-  metrics::LatencyHistogram latency_first_result;
-  metrics::LatencyHistogram latency_finish;
-  std::vector<core::ExperimentResults::MsgTypeCounts> traffic;
-  std::vector<obs::MetricSample> metrics;
 };
 
 /// Resident-set high-water mark of this process, in bytes.
@@ -122,33 +109,17 @@ inline std::uint64_t peak_rss_bytes() {
 /// timed into the profiler's per-MsgType bucket (pure observer on the
 /// trajectory, but it costs a clock pair per delivery — keep it off for
 /// the rate figures the trajectory gate compares).
-inline PerfSample timed_run(const core::ExperimentConfig& config,
-                            obs::TimeProfiler* profiler = nullptr) {
+inline TimedRun timed_run(const core::ExperimentConfig& config,
+                          obs::TimeProfiler* profiler = nullptr) {
   const auto t0 = std::chrono::steady_clock::now();
   core::Experiment exp(config);
   exp.setup();
   if (profiler != nullptr) exp.bus().set_time_profiler(profiler);
   exp.run();
-  const core::ExperimentResults r = exp.results();
+  core::ExperimentResults r = exp.results();
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
-  PerfSample s;
-  s.name = r.protocol;
-  s.wall_seconds = dt.count();
-  s.events = r.events_executed;
-  s.messages = r.total_messages;
-  s.t_ratio = r.t_ratio;
-  s.f_ratio = r.f_ratio;
-  s.msgs_per_node = r.msg_cost_per_node;
-  s.messages_partitioned = r.messages_partitioned;
-  s.stale_dead_provider = r.stale_records_dead_provider;
-  s.stale_misplaced = r.stale_records_misplaced;
-  s.slot_span_ratio = r.slot_span_ratio;
-  s.latency_first_result = r.latency_first_result;
-  s.latency_finish = r.latency_finish;
-  s.traffic = r.traffic_by_type;
-  s.metrics = r.metrics;
-  return s;
+  return {std::move(r), dt.count()};
 }
 
 /// One "latency" sub-object line for write_perf_json.
@@ -167,7 +138,7 @@ inline void write_latency_json(std::FILE* f, const char* key,
 /// failure so benches keep printing their tables regardless.
 inline bool write_perf_json(const std::string& path, const char* bench_name,
                             const BenchOptions& opt,
-                            const std::vector<PerfSample>& samples) {
+                            const std::vector<TimedRun>& runs) {
   if (path.empty()) return true;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -189,9 +160,10 @@ inline bool write_perf_json(const std::string& path, const char* bench_name,
                static_cast<double>(rss) /
                    static_cast<double>(std::max<std::size_t>(opt.nodes, 1)));
   std::fprintf(f, "  \"experiments\": [\n");
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const PerfSample& s = samples[i];
-    const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const core::ExperimentResults& s = runs[i].results;
+    const double wall_seconds = runs[i].wall_seconds;
+    const double wall = wall_seconds > 0.0 ? wall_seconds : 1e-9;
     std::fprintf(f,
                  "    { \"name\": \"%s\", \"wall_seconds\": %.6f,\n"
                  "      \"events\": %llu, \"events_per_sec\": %.1f,\n"
@@ -203,21 +175,21 @@ inline bool write_perf_json(const std::string& path, const char* bench_name,
                  "\"stale_misplaced\": %llu,\n"
                  "      \"slot_span_ratio\": %.3f,\n"
                  "      \"latency\": { ",
-                 json_mini::escape(s.name).c_str(), s.wall_seconds,
-                 static_cast<unsigned long long>(s.events),
-                 static_cast<double>(s.events) / wall,
-                 static_cast<unsigned long long>(s.messages),
-                 static_cast<double>(s.messages) / wall, s.t_ratio, s.f_ratio,
-                 s.msgs_per_node,
+                 json_mini::escape(s.protocol).c_str(), wall_seconds,
+                 static_cast<unsigned long long>(s.events_executed),
+                 static_cast<double>(s.events_executed) / wall,
+                 static_cast<unsigned long long>(s.total_messages),
+                 static_cast<double>(s.total_messages) / wall, s.t_ratio,
+                 s.f_ratio, s.msg_cost_per_node,
                  static_cast<unsigned long long>(s.messages_partitioned),
-                 static_cast<unsigned long long>(s.stale_dead_provider),
-                 static_cast<unsigned long long>(s.stale_misplaced),
+                 static_cast<unsigned long long>(s.stale_records_dead_provider),
+                 static_cast<unsigned long long>(s.stale_records_misplaced),
                  s.slot_span_ratio);
     write_latency_json(f, "first_result", s.latency_first_result, ", ");
     write_latency_json(f, "finish", s.latency_finish, " },\n");
     std::fprintf(f, "      \"traffic\": [");
-    for (std::size_t t = 0; t < s.traffic.size(); ++t) {
-      const auto& m = s.traffic[t];
+    for (std::size_t t = 0; t < s.traffic_by_type.size(); ++t) {
+      const auto& m = s.traffic_by_type[t];
       std::fprintf(f,
                    "%s\n        { \"type\": \"%s\", \"sent\": %llu, "
                    "\"delivered\": %llu, \"lost\": %llu, "
@@ -229,8 +201,7 @@ inline bool write_perf_json(const std::string& path, const char* bench_name,
                    static_cast<unsigned long long>(m.partitioned));
     }
     // Registry snapshot as {"k","v"} pairs: metric names live inside
-    // escaped string *values*, so a hostile name can never alias a schema
-    // key under json_mini's needle parsing (see src/obs/registry.hpp).
+    // escaped string values (see src/obs/registry.hpp).
     std::fprintf(f, " ],\n      \"metrics\": [");
     for (std::size_t m = 0; m < s.metrics.size(); ++m) {
       std::fprintf(f, "%s\n        { \"k\": \"%s\", \"v\": %.6f }",
@@ -238,7 +209,7 @@ inline bool write_perf_json(const std::string& path, const char* bench_name,
                    json_mini::escape(s.metrics[m].name).c_str(),
                    s.metrics[m].value);
     }
-    std::fprintf(f, " ] }%s\n", i + 1 < samples.size() ? "," : "");
+    std::fprintf(f, " ] }%s\n", i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

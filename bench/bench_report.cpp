@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   obs::Tracer tracer;
   if (!trace_path.empty()) obs::install_tracer(&tracer);
 
-  std::vector<PerfSample> samples;
+  std::vector<TimedRun> runs;
   std::printf("\n%-14s %10s %14s %14s %14s %14s\n", "config", "wall-s",
               "events", "events/s", "messages", "msgs/s");
   std::uint32_t lane = 0;
@@ -55,15 +55,16 @@ int main(int argc, char** argv) {
       tracer.set_lane(lane++, lane_name);
     }
     obs::TimeProfiler profiler(static_cast<std::size_t>(net::MsgType::kCount));
-    const PerfSample s =
-        timed_run(c, profile_handlers ? &profiler : nullptr);
-    const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
-    std::printf("%-14s %10.3f %14llu %14.0f %14llu %14.0f\n", s.name.c_str(),
-                s.wall_seconds, static_cast<unsigned long long>(s.events),
-                static_cast<double>(s.events) / wall,
-                static_cast<unsigned long long>(s.messages),
-                static_cast<double>(s.messages) / wall);
-    samples.push_back(s);
+    TimedRun run = timed_run(c, profile_handlers ? &profiler : nullptr);
+    const core::ExperimentResults& r = run.results;
+    const double wall = run.wall_seconds > 0.0 ? run.wall_seconds : 1e-9;
+    std::printf("%-14s %10.3f %14llu %14.0f %14llu %14.0f\n",
+                r.protocol.c_str(), run.wall_seconds,
+                static_cast<unsigned long long>(r.events_executed),
+                static_cast<double>(r.events_executed) / wall,
+                static_cast<unsigned long long>(r.total_messages),
+                static_cast<double>(r.total_messages) / wall);
+    runs.push_back(std::move(run));
     if (profile_handlers) {
       // Wall time per handler type: where the events/sec above is spent.
       std::uint64_t grand_total_ns = 0;
@@ -95,19 +96,20 @@ int main(int argc, char** argv) {
   // the single getrusage high-water mark below cannot say *when* memory
   // peaked; these two samples bracket the join ramp vs the churn phase.
   std::printf("\n%-14s %16s %16s\n", "config", "rss-post-join", "rss-post-churn");
-  for (const PerfSample& s : samples) {
+  for (const TimedRun& run : runs) {
+    const core::ExperimentResults& s = run.results;
     double post_join = 0.0, post_churn = 0.0;
     for (const auto& m : s.metrics) {
       if (m.name == "rss.post_join.bytes") post_join = m.value;
       if (m.name == "rss.post_churn.bytes") post_churn = m.value;
     }
-    std::printf("%-14s %12.1f MiB %12.1f MiB\n", s.name.c_str(),
+    std::printf("%-14s %12.1f MiB %12.1f MiB\n", s.protocol.c_str(),
                 post_join / (1024.0 * 1024.0), post_churn / (1024.0 * 1024.0));
   }
   std::printf("\npeak RSS: %.1f MiB\n",
               static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
 
-  if (!write_perf_json(opt.json_path, "hotpath", opt, samples)) return 1;
+  if (!write_perf_json(opt.json_path, "hotpath", opt, runs)) return 1;
   std::printf("wrote %s\n", opt.json_path.c_str());
   if (!trace_path.empty()) {
     obs::install_tracer(nullptr);

@@ -91,35 +91,19 @@ int main(int argc, char** argv) {
   c.protocol = *protocol;
   c.churn_dynamic_degree = churn;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const core::ExperimentResults r1 = core::run_experiment(c);
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  PerfSample s;
-  s.name = r1.protocol;
-  s.wall_seconds = dt.count();
-  s.events = r1.events_executed;
-  s.messages = r1.total_messages;
-  s.t_ratio = r1.t_ratio;
-  s.f_ratio = r1.f_ratio;
-  s.msgs_per_node = r1.msg_cost_per_node;
-  s.messages_partitioned = r1.messages_partitioned;
-  s.stale_dead_provider = r1.stale_records_dead_provider;
-  s.stale_misplaced = r1.stale_records_misplaced;
-  s.slot_span_ratio = r1.slot_span_ratio;
-  s.traffic = r1.traffic_by_type;
-  s.metrics = r1.metrics;
-  const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
+  const TimedRun run = timed_run(c);
+  const core::ExperimentResults& r1 = run.results;
+  const double wall = run.wall_seconds > 0.0 ? run.wall_seconds : 1e-9;
   const std::uint64_t rss = peak_rss_bytes();
   std::printf("%-14s %10.1fs %12llu ev %10.0f ev/s %12llu msg\n",
-              s.name.c_str(), s.wall_seconds,
-              static_cast<unsigned long long>(s.events),
-              static_cast<double>(s.events) / wall,
-              static_cast<unsigned long long>(s.messages));
+              r1.protocol.c_str(), run.wall_seconds,
+              static_cast<unsigned long long>(r1.events_executed),
+              static_cast<double>(r1.events_executed) / wall,
+              static_cast<unsigned long long>(r1.total_messages));
   std::printf("peak RSS: %.1f MiB  (%.0f bytes/node)\n",
               static_cast<double>(rss) / (1024.0 * 1024.0),
               static_cast<double>(rss) / static_cast<double>(c.nodes));
-  std::printf("slot_span_ratio: %.3f\n", s.slot_span_ratio);
+  std::printf("slot_span_ratio: %.3f\n", r1.slot_span_ratio);
 
   // Attribution-profiler breakdown: per-subsystem bytes/node from the
   // registry's capacity accounting (mem.<bucket>.bytes), against the
@@ -128,7 +112,7 @@ int main(int argc, char** argv) {
   // stack make up the remainder.
   std::printf("\n%-24s %14s %12s\n", "subsystem", "bytes", "bytes/node");
   double accounted = 0.0;
-  for (const auto& m : s.metrics) {
+  for (const auto& m : r1.metrics) {
     if (m.name.rfind("mem.", 0) != 0 || m.name == "mem.slot_span_ratio" ||
         m.name == "mem.total.bytes") {
       continue;
@@ -148,7 +132,7 @@ int main(int argc, char** argv) {
   // free-list slack from departed nodes' freed state — held by the
   // allocator, attributable to no subsystem, and itself a bytes/node
   // lever (pooling per-node protocol state would reclaim it).
-  for (const auto& m : s.metrics) {
+  for (const auto& m : r1.metrics) {
     if (m.name == "rss.post_join.bytes" && m.value > 0.0) {
       std::printf("coverage vs post-join RSS: %.0f%%  (churn adds %.1f MiB "
                   "allocator slack, %.0f bytes/node)\n",
@@ -179,7 +163,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!write_perf_json(opt.json_path, "scale", opt, {s})) return 1;
+  if (!write_perf_json(opt.json_path, "scale", opt, {run})) return 1;
   std::printf("wrote %s\n", opt.json_path.c_str());
   return rc;
 }

@@ -44,9 +44,9 @@ struct PerfExperiment {
   double events_per_sec = 0.0;
   double messages = 0.0;
   double messages_per_sec = 0.0;
-  /// Memory-layout density (PR 7 schema addition).  Defaults to 1.0 when
-  /// absent so reports predating the field compare cleanly; never gated —
-  /// the stress tests own the density bound, the gate owns rates/counts.
+  /// Memory-layout density.  1.0 when absent: the committed
+  /// bench/BENCH_baseline.json predates the field.  Never gated — the
+  /// stress tests own the density bound, the gate owns rates/counts.
   double slot_span_ratio = 1.0;
 };
 
@@ -54,57 +54,43 @@ struct PerfReport {
   double nodes = 0.0;
   double hours = 0.0;
   double seed = 0.0;
-  /// PR 7 schema addition; 0.0 when the report predates the field.
+  /// 0.0 when absent: bench/BENCH_baseline.json predates the field.
   double peak_rss_bytes_per_node = 0.0;
   std::vector<PerfExperiment> experiments;
 };
 
-/// Bounded key lookup, shared with the sweep parser (src/common/json_mini).
-using json_mini::find_number;
-
-/// Parse one BENCH_*.json body.  Returns nullopt (and sets `err`) when no
-/// experiment block is found.
+/// Parse one BENCH_*.json body (or merged sweep report).  Returns nullopt
+/// (and sets `err`) when the text is not strict JSON, a field this gate
+/// reads is missing or mistyped, or no experiment is listed.
 inline std::optional<PerfReport> parse_report_text(const std::string& text,
                                                    std::string* err) {
-  PerfReport r;
-  r.nodes = find_number(text, "nodes", 0).value_or(0.0);
-  r.hours = find_number(text, "hours", 0).value_or(0.0);
-  r.seed = find_number(text, "seed", 0).value_or(0.0);
-  r.peak_rss_bytes_per_node =
-      find_number(text, "peak_rss_bytes_per_node", 0).value_or(0.0);
-
-  std::size_t pos = 0;
-  for (;;) {
-    const std::string needle = "\"name\": \"";
-    const std::size_t at = text.find(needle, pos);
-    if (at == std::string::npos) break;
-    const std::size_t name_start = at + needle.size();
-    const std::size_t name_end = text.find('"', name_start);
-    if (name_end == std::string::npos) break;
-    // Fields must come from this experiment's block: bound the search at
-    // the next experiment's "name" key (or end of file for the last one).
-    std::size_t block_end = text.find(needle, name_end);
-    if (block_end == std::string::npos) block_end = text.size();
-    PerfExperiment e;
-    e.name = text.substr(name_start, name_end - name_start);
-    e.wall_seconds =
-        find_number(text, "wall_seconds", name_end, block_end).value_or(0.0);
-    e.events = find_number(text, "events", name_end, block_end).value_or(0.0);
-    e.events_per_sec =
-        find_number(text, "events_per_sec", name_end, block_end).value_or(0.0);
-    e.messages =
-        find_number(text, "messages", name_end, block_end).value_or(0.0);
-    e.messages_per_sec = find_number(text, "messages_per_sec", name_end,
-                                     block_end).value_or(0.0);
-    e.slot_span_ratio = find_number(text, "slot_span_ratio", name_end,
-                                    block_end).value_or(1.0);
-    r.experiments.push_back(std::move(e));
-    pos = name_end;
-  }
-  if (r.experiments.empty()) {
-    if (err != nullptr) *err = "no experiments found";
+  const auto fail = [err](const char* why) {
+    if (err != nullptr) *err = why;
     return std::nullopt;
+  };
+  const auto doc = json_mini::Value::parse(text);
+  if (!doc.has_value()) return fail("not a valid JSON document");
+  json_mini::Fields f(*doc);
+  PerfReport r;
+  r.nodes = f.as_double("nodes");
+  r.hours = f.as_double("hours");
+  r.seed = f.as_double("seed");
+  r.peak_rss_bytes_per_node =
+      f.optional_double("peak_rss_bytes_per_node").value_or(0.0);
+  for (const json_mini::Value& exp : f.as_array("experiments")) {
+    json_mini::Fields x(exp);
+    PerfExperiment& e = r.experiments.emplace_back();
+    e.name = x.as_string("name");
+    e.wall_seconds = x.as_double("wall_seconds");
+    e.events = x.as_double("events");
+    e.events_per_sec = x.as_double("events_per_sec");
+    e.messages = x.as_double("messages");
+    e.messages_per_sec = x.as_double("messages_per_sec");
+    e.slot_span_ratio = x.optional_double("slot_span_ratio").value_or(1.0);
+    if (!x.ok()) return fail("experiment is missing a field");
   }
+  if (!f.ok()) return fail("report header is missing a field");
+  if (r.experiments.empty()) return fail("no experiments found");
   return r;
 }
 

@@ -24,10 +24,6 @@ const Zone& PartitionTree::zone_of(NodeId id) const {
   return leaf_for(id)->zone;
 }
 
-std::size_t PartitionTree::depth_of(NodeId id) const {
-  return leaf_for(id)->depth;
-}
-
 NodeId PartitionTree::owner_of(const Point& p) const {
   const TreeNode* t = root_.get();
   while (!t->is_leaf()) {

@@ -46,12 +46,7 @@ class PartitionTree {
   [[nodiscard]] std::size_t leaf_count() const { return leaves_.size(); }
   /// Storage density of the leaf map (slot_span/size; BENCH metric).
   [[nodiscard]] double span_ratio() const { return leaves_.span_ratio(); }
-  [[nodiscard]] bool contains_owner(NodeId id) const {
-    return leaves_.contains(id);
-  }
-
   [[nodiscard]] const Zone& zone_of(NodeId id) const;
-  [[nodiscard]] std::size_t depth_of(NodeId id) const;
 
   /// Owner of the leaf containing p (tree descent oracle).
   [[nodiscard]] NodeId owner_of(const Point& p) const;

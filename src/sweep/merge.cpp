@@ -203,9 +203,7 @@ bool write_merged_report(const std::string& path, const SweepSpec& spec,
         s.slot_span_ratio_max);
     out += buf;
     // Per-group tail latency, bench-schema-shaped ("latency" sub-object as
-    // in BENCH_*.json) plus the cross-repeat p99 CI.  compare_core's
-    // bounded exact-key parser skips unknown keys, so older tooling reads
-    // this report unchanged.
+    // in BENCH_*.json) plus the cross-repeat p99 CI.
     const auto latency_json = [&buf](const char* key,
                                      const metrics::LatencyHistogram& h,
                                      double p99_ci, const char* trailer) {
@@ -225,8 +223,7 @@ bool write_merged_report(const std::string& path, const SweepSpec& spec,
     out += latency_json("finish", s.latency_finish, s.latency_finish_p99_ci95,
                         " },\n");
     // Per-group registry metrics (mean over repeats), {"k","v"}-encoded
-    // like the shard files; before "series" for the same parser-bounding
-    // reason.
+    // like the shard files.
     out += "      \"metrics\": [";
     for (std::size_t m = 0; m < s.metrics_mean.size(); ++m) {
       std::snprintf(buf, sizeof(buf),
@@ -237,10 +234,7 @@ bool write_merged_report(const std::string& path, const SweepSpec& spec,
       out += buf;
     }
     out += s.metrics_mean.empty() ? "],\n" : " ],\n";
-    out += "      \"series\": [";
-    // Figure curve, after every scalar: the bounded first-match parsers
-    // (merge round-trip, compare_core) must hit the scalar first when a
-    // key name recurs inside the samples.
+    out += "      \"series\": [";  // the figure curve
     for (std::size_t p = 0; p < s.series.size(); ++p) {
       const GroupSeriesPoint& pt = s.series[p];
       std::snprintf(buf, sizeof(buf),

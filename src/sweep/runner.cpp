@@ -126,9 +126,7 @@ bool write_shard_result(const std::string& dir, const ShardResult& result) {
            "\",\n";
     out += "      \"lat_finish_b\": \"" + c.latency_finish.encode() + "\",\n";
     // Registry metrics as {"k","v"} pairs: the name is an escaped string
-    // *value*, so no metric name can alias a schema key ("generated",
-    // "hour", ...) under the bounded needle parser.  Before "series" so
-    // the series sample scan below never sees them.
+    // value, so any metric name is representable.
     out += "      \"metrics\": [";
     for (std::size_t m = 0; m < c.metrics.size(); ++m) {
       n = std::snprintf(buf, sizeof(buf),
@@ -141,9 +139,6 @@ bool write_shard_result(const std::string& dir, const ShardResult& result) {
     }
     out += c.metrics.empty() ? "],\n" : " ],\n";
     out += "      \"series\": [";
-    // The hour-by-hour samples go AFTER every scalar field: the bounded
-    // first-match parser shares key names between the two ("generated",
-    // "t_ratio", …), so within a cell block the scalar must come first.
     for (std::size_t s = 0; s < c.series.size(); ++s) {
       const metrics::SeriesSample& p = c.series[s];
       n = std::snprintf(
@@ -168,124 +163,65 @@ bool write_shard_result(const std::string& dir, const ShardResult& result) {
 
 std::optional<ShardResult> read_shard_result(const std::string& path) {
   const auto text = read_file(path);
-  if (!text.has_value()) return std::nullopt;
-  using json_mini::find_number;
-  using json_mini::find_string;
-  if (!find_number(*text, "sweep_shard", 0).has_value()) return std::nullopt;
+  const auto doc = text.has_value() ? json_mini::Value::parse(*text)
+                                    : std::nullopt;
+  if (!doc.has_value()) return std::nullopt;
+  json_mini::Fields f(*doc);
   ShardResult r;
-  const auto fp = find_string(*text, "spec_fingerprint", 0);
-  const auto shard = find_number(*text, "shard", 0);
-  const auto total = find_number(*text, "shards_total", 0);
-  if (!fp.has_value() || !shard.has_value() || !total.has_value()) {
-    return std::nullopt;
-  }
-  r.spec_fingerprint = std::strtoull(fp->c_str(), nullptr, 16);
-  r.shard_id = static_cast<std::size_t>(*shard);
-  r.shards_total = static_cast<std::size_t>(*total);
-
-  const std::string needle = "\"key\": \"";
-  std::size_t pos = text->find("\"cells\":");
-  if (pos == std::string::npos) return std::nullopt;
-  pos = text->find(needle, pos);
-  while (pos != std::string::npos) {
-    std::size_t block_end = text->find(needle, pos + needle.size());
-    if (block_end == std::string::npos) block_end = text->size();
-    CellResult c;
-    const auto key = find_string(*text, "key", pos - 1, block_end);
-    const auto group = find_string(*text, "group", pos, block_end);
-    if (!key.has_value() || !group.has_value()) return std::nullopt;
-    c.key = *key;
-    c.group = *group;
-    const auto num = [&](const char* k) {
-      return find_number(*text, k, pos, block_end);
-    };
-    const auto u64 = [&](const char* k) {
-      return json_mini::find_uint64(*text, k, pos, block_end).value_or(0);
-    };
-    const auto required = num("t_ratio");
-    if (!required.has_value()) return std::nullopt;
-    c.seed = u64("seed");
-    c.t_ratio = *required;
-    c.f_ratio = num("f_ratio").value_or(0.0);
-    c.fairness = num("fairness").value_or(1.0);
-    c.msgs_per_node = num("msgs_per_node").value_or(0.0);
-    c.avg_query_delay_s = num("avg_query_delay_s").value_or(0.0);
-    c.generated = u64("generated");
-    c.finished = u64("finished");
-    c.failed = u64("failed");
-    c.events = u64("events");
-    c.messages = u64("messages");
-    c.messages_delivered = u64("delivered");
-    c.messages_lost = u64("lost");
-    // Absent in pre-partition shard files: u64 defaults them to 0.
-    c.messages_partitioned = u64("partitioned");
-    c.stale_dead_provider = u64("stale_dead_provider");
-    c.stale_misplaced = u64("stale_misplaced");
-    c.slot_span_ratio = num("slot_span_ratio").value_or(1.0);
-    c.wall_seconds = num("wall_seconds").value_or(0.0);
-    // Latency histograms: absent in pre-serving shard files (empty
-    // histograms), and a malformed encoding invalidates the whole file —
-    // a silently-dropped histogram would merge wrong percentiles.
-    const auto lat_first = find_string(*text, "lat_first_b", pos, block_end);
-    const auto lat_finish = find_string(*text, "lat_finish_b", pos, block_end);
-    if (lat_first.has_value() &&
-        !c.latency_first_result.merge_encoded(*lat_first)) {
+  const bool version_ok = f.as_u64("sweep_shard") == 1;
+  r.spec_fingerprint = f.as_hex64("spec_fingerprint");
+  r.shard_id = f.as_u64("shard");
+  r.shards_total = f.as_u64("shards_total");
+  for (const json_mini::Value& cell : f.as_array("cells")) {
+    json_mini::Fields c(cell);
+    CellResult& out = r.cells.emplace_back();
+    out.key = c.as_string("key");
+    out.group = c.as_string("group");
+    out.seed = c.as_u64("seed");
+    out.t_ratio = c.as_double("t_ratio");
+    out.f_ratio = c.as_double("f_ratio");
+    out.fairness = c.as_double("fairness");
+    out.msgs_per_node = c.as_double("msgs_per_node");
+    out.avg_query_delay_s = c.as_double("avg_query_delay_s");
+    out.generated = c.as_u64("generated");
+    out.finished = c.as_u64("finished");
+    out.failed = c.as_u64("failed");
+    out.events = c.as_u64("events");
+    out.messages = c.as_u64("messages");
+    out.messages_delivered = c.as_u64("delivered");
+    out.messages_lost = c.as_u64("lost");
+    out.messages_partitioned = c.as_u64("partitioned");
+    out.stale_dead_provider = c.as_u64("stale_dead_provider");
+    out.stale_misplaced = c.as_u64("stale_misplaced");
+    out.slot_span_ratio = c.as_double("slot_span_ratio");
+    out.wall_seconds = c.as_double("wall_seconds");
+    // A malformed histogram invalidates the whole file: a dropped one
+    // would merge wrong percentiles.
+    if (!out.latency_first_result.merge_encoded(c.as_string("lat_first_b")) ||
+        !out.latency_finish.merge_encoded(c.as_string("lat_finish_b"))) {
       return std::nullopt;
     }
-    if (lat_finish.has_value() &&
-        !c.latency_finish.merge_encoded(*lat_finish)) {
-      return std::nullopt;
+    for (const json_mini::Value& pair : c.as_array("metrics")) {
+      json_mini::Fields m(pair);
+      out.metrics.push_back(
+          {m.as_string("k"), m.as_double("v"), /*deterministic=*/true});
+      if (!m.ok()) return std::nullopt;
     }
-    // Registry metrics: {"k","v"} pairs between the histograms and the
-    // series (absent in pre-observability shard files).  Bounded at
-    // "series" so a series sample can never be misread as a pair.
-    const std::string pair_needle = "\"k\": \"";
-    std::size_t metrics_end = text->find("\"series\":", pos);
-    if (metrics_end == std::string::npos || metrics_end > block_end) {
-      metrics_end = block_end;
+    for (const json_mini::Value& sample : c.as_array("series")) {
+      json_mini::Fields p(sample);
+      metrics::SeriesSample& s = out.series.emplace_back();
+      s.hour = p.as_double("hour");
+      s.generated = p.as_u64("generated");
+      s.finished = p.as_u64("finished");
+      s.failed = p.as_u64("failed");
+      s.t_ratio = p.as_double("t_ratio");
+      s.f_ratio = p.as_double("f_ratio");
+      s.fairness = p.as_double("fairness");
+      if (!p.ok()) return std::nullopt;
     }
-    std::size_t mp = text->find(pair_needle, pos);
-    while (mp != std::string::npos && mp < metrics_end) {
-      std::size_t pair_end = text->find(pair_needle, mp + pair_needle.size());
-      if (pair_end == std::string::npos || pair_end > metrics_end) {
-        pair_end = metrics_end;
-      }
-      const auto k = find_string(*text, "k", mp - 1, pair_end);
-      const auto v = find_number(*text, "v", mp, pair_end);
-      if (!k.has_value() || !v.has_value()) return std::nullopt;
-      c.metrics.push_back(
-          obs::MetricSample{*k, *v, /*deterministic=*/true});
-      mp = text->find(pair_needle, pair_end - 1);
-    }
-    // Hour-by-hour samples, delimited by their "hour" key (absent from the
-    // scalar block, and series samples carry no "key", so the cell block
-    // bound above still holds).  Absent in pre-series shard files.
-    const std::string hour_needle = "\"hour\":";
-    std::size_t sp = text->find(hour_needle, pos);
-    while (sp != std::string::npos && sp < block_end) {
-      std::size_t sample_end = text->find(hour_needle, sp + hour_needle.size());
-      if (sample_end == std::string::npos || sample_end > block_end) {
-        sample_end = block_end;
-      }
-      metrics::SeriesSample p;
-      const auto hour = find_number(*text, "hour", sp - 1, sample_end);
-      if (!hour.has_value()) return std::nullopt;
-      p.hour = *hour;
-      p.generated =
-          json_mini::find_uint64(*text, "generated", sp, sample_end).value_or(0);
-      p.finished =
-          json_mini::find_uint64(*text, "finished", sp, sample_end).value_or(0);
-      p.failed =
-          json_mini::find_uint64(*text, "failed", sp, sample_end).value_or(0);
-      p.t_ratio = find_number(*text, "t_ratio", sp, sample_end).value_or(0.0);
-      p.f_ratio = find_number(*text, "f_ratio", sp, sample_end).value_or(0.0);
-      p.fairness = find_number(*text, "fairness", sp, sample_end).value_or(1.0);
-      c.series.push_back(p);
-      sp = text->find(hour_needle, sample_end - 1);
-    }
-    r.cells.push_back(std::move(c));
-    pos = text->find(needle, block_end - 1);
+    if (!c.ok()) return std::nullopt;
   }
+  if (!f.ok() || !version_ok) return std::nullopt;
   return r;
 }
 

@@ -55,15 +55,12 @@ struct CellResult {
   /// submit→finish), carried through shard files in the sparse
   /// LatencyHistogram::encode() form so the merger can fold repeats
   /// bucket-wise (exact integer sums — merge order never matters).
-  /// Absent in pre-serving shard files; parsed as empty.
   metrics::LatencyHistogram latency_first_result;
   metrics::LatencyHistogram latency_finish;
   /// Registry snapshot, deterministic samples only (wall-clock and RSS
   /// gauges stay out — the merged report must be byte-identical however
-  /// the shards ran).  Stored as {"k","v"} pairs in the shard file so a
-  /// hostile metric name lives inside an escaped string value and can
-  /// never alias a schema key under the needle parser.  Absent in
-  /// pre-observability shard files; parsed as empty.
+  /// the shards ran).  Stored as {"k","v"} pairs in the shard file, so a
+  /// metric name is an escaped string value, never an object key.
   std::vector<obs::MetricSample> metrics;
 };
 
@@ -82,7 +79,8 @@ struct ShardResult {
 /// Atomically write <dir>/shard-<id>.json.
 bool write_shard_result(const std::string& dir, const ShardResult& result);
 
-/// Parse a shard result file; nullopt when absent or malformed.
+/// Parse a shard result file; nullopt when it is absent, is not strict
+/// JSON, or any cell lacks a field write_shard_result writes.
 [[nodiscard]] std::optional<ShardResult> read_shard_result(
     const std::string& path);
 

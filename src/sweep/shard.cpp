@@ -81,34 +81,22 @@ bool write_manifest(const std::string& dir, const Manifest& manifest) {
 
 std::optional<Manifest> read_manifest(const std::string& dir) {
   const auto text = read_file(manifest_path(dir));
-  if (!text.has_value()) return std::nullopt;
-  using json_mini::find_number;
-  using json_mini::find_string;
+  const auto doc = text.has_value() ? json_mini::Value::parse(*text)
+                                    : std::nullopt;
+  if (!doc.has_value()) return std::nullopt;
+  json_mini::Fields f(*doc);
   Manifest m;
-  const auto fp = find_string(*text, "spec_fingerprint", 0);
-  const auto spec = find_string(*text, "spec", 0);
-  const auto total = find_number(*text, "shards_total", 0);
-  if (!fp.has_value() || !spec.has_value() || !total.has_value()) {
-    return std::nullopt;
+  const bool version_ok = f.as_u64("sweep_manifest") == 1;
+  m.spec_fingerprint = f.as_hex64("spec_fingerprint");
+  m.spec = f.as_string("spec");
+  m.shards_total = f.as_u64("shards_total");
+  for (const json_mini::Value& shard : f.as_array("shards")) {
+    json_mini::Fields s(shard);
+    m.shards.push_back(
+        {s.as_u64("id"), s.as_u64("cells"), s.as_string("state")});
+    if (!s.ok()) return std::nullopt;
   }
-  m.spec_fingerprint = std::strtoull(fp->c_str(), nullptr, 16);
-  m.spec = *spec;
-  m.shards_total = static_cast<std::size_t>(*total);
-  std::size_t pos = text->find("\"shards\":");
-  while (pos != std::string::npos) {
-    const std::size_t at = text->find("\"id\":", pos + 1);
-    if (at == std::string::npos) break;
-    std::size_t block_end = text->find("\"id\":", at + 1);
-    if (block_end == std::string::npos) block_end = text->size();
-    ShardStatus s;
-    s.id = static_cast<std::size_t>(
-        find_number(*text, "id", at - 1, block_end).value_or(0));
-    s.cells = static_cast<std::size_t>(
-        find_number(*text, "cells", at, block_end).value_or(0));
-    s.state = find_string(*text, "state", at, block_end).value_or("pending");
-    m.shards.push_back(std::move(s));
-    pos = at;
-  }
+  if (!f.ok() || !version_ok) return std::nullopt;
   return m;
 }
 

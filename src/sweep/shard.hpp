@@ -69,7 +69,7 @@ struct Manifest {
 /// Atomic write (tmp + rename).  Returns false on I/O error.
 bool write_manifest(const std::string& dir, const Manifest& manifest);
 
-/// nullopt when absent or unparseable.
+/// nullopt when absent, not strict JSON, or missing a written field.
 [[nodiscard]] std::optional<Manifest> read_manifest(const std::string& dir);
 
 /// True when `dir` carries no manifest yet, or its manifest names exactly

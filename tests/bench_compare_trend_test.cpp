@@ -129,7 +129,7 @@ TEST(CompareCore, ParserRoundTripsTheEmittedSchema) {
   ASSERT_EQ(r->experiments.size(), 2u);
   EXPECT_EQ(r->experiments[0].name, "HID-CAN");
   EXPECT_DOUBLE_EQ(r->experiments[0].events, 123456);
-  // Field search is block-bounded: Newscast's numbers are its own.
+  // Each experiment's numbers are its own.
   EXPECT_DOUBLE_EQ(r->experiments[1].events_per_sec, 84.0);
 
   std::string err2;
@@ -138,12 +138,11 @@ TEST(CompareCore, ParserRoundTripsTheEmittedSchema) {
 }
 
 TEST(CompareCore, LatencyBlockCannotShadowScalarFields) {
-  // The serving-PR schema nests a "latency" object (with its own "n",
-  // "mean_s", "p50_s", ...) between the scalars and "traffic".  The
-  // bounded exact-key parser must keep reading the experiment's scalars —
-  // none of the latency keys may shadow "events", "messages", or the
-  // rates, in ANY ordering of the block relative to them.  Hostile
-  // ordering on purpose: latency comes FIRST here, unlike the writer.
+  // The serving schema nests a "latency" object (with its own "n",
+  // "mean_s", "p50_s", ...) between the scalars and "traffic".  None of
+  // the latency keys may shadow "events", "messages", or the rates, in
+  // ANY ordering of the block relative to them.  Hostile ordering on
+  // purpose: latency comes FIRST here, unlike the writer.
   const std::string text = R"({
   "bench": "sweep",
   "nodes": 0,
@@ -173,7 +172,8 @@ TEST(CompareCore, LatencyBlockCannotShadowScalarFields) {
   EXPECT_DOUBLE_EQ(r->experiments[0].events, 5000);
   EXPECT_DOUBLE_EQ(r->experiments[0].messages, 2500);
   EXPECT_DOUBLE_EQ(r->experiments[0].slot_span_ratio, 1.25);
-  // The second experiment (no latency block) is bounded correctly.
+  // The second experiment (no latency block, no slot_span_ratio) reads
+  // its own numbers.
   EXPECT_DOUBLE_EQ(r->experiments[1].events, 4000);
   EXPECT_DOUBLE_EQ(r->experiments[1].slot_span_ratio, 1.0);
 }

@@ -1,12 +1,15 @@
-// Unit tests for src/common: ResourceVector, RNG, stats, CLI parsing.
+// Unit tests for src/common: ResourceVector, RNG, stats, CLI parsing, and
+// the strict json_mini reader.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/cli.hpp"
+#include "src/common/json_mini.hpp"
 #include "src/common/resource_vector.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
@@ -284,6 +287,88 @@ TEST(SimTimeHelpers, Conversions) {
   EXPECT_EQ(millis(2.0), 2000);
   EXPECT_DOUBLE_EQ(to_seconds(seconds(86400.0)), 86400.0);
   EXPECT_DOUBLE_EQ(to_hours(seconds(7200.0)), 2.0);
+}
+
+TEST(JsonMini, ReadsEveryFormOurWritersEmit) {
+  const auto doc = json_mini::Value::parse(
+      " {\"s\": \"q\\\"b\\\\n\\nt\\tr\\r\", \"u\": 18446744073709551615,\n"
+      "  \"d\": -1.5e-3, \"z\": 0, \"g\": 0.10000000000000001,"
+      " \"a\": [1, [], {}], \"t\": true, \"f\": false, \"n\": null,"
+      " \"h\": \"00000000000000fF\"} \n");
+  ASSERT_TRUE(doc.has_value());
+  json_mini::Fields f(*doc);
+  EXPECT_EQ(f.as_string("s"), "q\"b\\n\nt\tr\r");
+  EXPECT_EQ(f.as_u64("u"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(f.as_double("d"), -1.5e-3);
+  EXPECT_EQ(f.as_u64("z"), 0u);
+  EXPECT_EQ(f.as_double("g"), 0.1) << "a %.17g token reads back exactly";
+  EXPECT_EQ(f.as_array("a").size(), 3u);
+  EXPECT_EQ(f.as_hex64("h"), 0xffu);
+  EXPECT_EQ(f.optional_double("absent"), std::nullopt);
+  EXPECT_TRUE(f.ok());
+}
+
+TEST(JsonMini, RejectsMalformedDocuments) {
+  for (const char* bad : {
+           "", "{", "{}x", "{} {}", "[1,]", "[,1]", "{\"a\":1,}", "{\"a\" 1}",
+           "{1: 2}", "{\"a\": 1, \"a\": 1}",  // the last: a duplicate name
+           "01", "1.", ".5", "+1", "-", "1e", "1e+", "0x10", "NaN", "inf",
+           "\"\\u0041\"", "\"\\/\"", "\"\\b\"", "\"a\nb\"", "\"open", "\"\\",
+           "tru", "nul", "[1 2]",
+       }) {
+    EXPECT_FALSE(json_mini::Value::parse(bad).has_value()) << bad;
+  }
+}
+
+TEST(JsonMini, NestingIsCappedAtMaxDepth) {
+  const auto nested = [](int n) {
+    return std::string(static_cast<std::size_t>(n), '[') +
+           std::string(static_cast<std::size_t>(n), ']');
+  };
+  const int cap = json_mini::Value::kMaxDepth;
+  EXPECT_TRUE(json_mini::Value::parse(nested(cap)).has_value());
+  EXPECT_FALSE(json_mini::Value::parse(nested(cap + 1)).has_value());
+  EXPECT_FALSE(json_mini::Value::parse(nested(1 << 20)).has_value());
+}
+
+TEST(JsonMini, FieldsFailOnAMissingOrMistypedField) {
+  const auto doc = json_mini::Value::parse(
+      R"({"neg": -1, "frac": 1.5, "exp": 1e3, "big": 18446744073709551616,)"
+      R"( "str": "7", "huge": 1e999, "obj": {}, "hex15": "00000000000000f",)"
+      R"( "hex17": "00000000000000000", "hexg": "000000000000000g",)"
+      R"( "hex0x": "0x00000000000000f"})");
+  ASSERT_TRUE(doc.has_value());
+  const auto fails = [&](auto read) {
+    json_mini::Fields f(*doc);
+    read(f);
+    return !f.ok();
+  };
+  EXPECT_TRUE(fails([](auto& f) { f.as_u64("neg"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_u64("frac"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_u64("exp"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_u64("big"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_double("str"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_double("huge"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_string("neg"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_array("obj"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_double("absent"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.optional_double("str"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_hex64("hex15"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_hex64("hex17"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_hex64("hexg"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_hex64("hex0x"); }));
+  EXPECT_TRUE(fails([](auto& f) { f.as_hex64("neg"); }));
+  EXPECT_FALSE(fails([](auto& f) { f.as_double("neg"); }));
+  // A latched failure sticks; the read after it does not clear it.
+  EXPECT_TRUE(fails([](auto& f) {
+    f.as_double("absent");
+    f.as_double("neg");
+  }));
+  // Fields over a non-object fails on the first read.
+  const auto array = json_mini::Value::parse("[1]");
+  ASSERT_TRUE(array.has_value());
+  json_mini::Fields f(*array);
+  EXPECT_FALSE(f.ok());
 }
 
 }  // namespace

@@ -1,51 +1,12 @@
-// Tests for the CSV exporter and the 2-D CAN ASCII renderer.
+// Tests for the 2-D CAN ASCII renderer (overlay_explorer's zone map).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "src/can/ascii_art.hpp"
-#include "src/metrics/csv.hpp"
 
 namespace soc {
 namespace {
-
-TEST(Csv, HeaderAndRows) {
-  metrics::SeriesSample s1;
-  s1.hour = 1;
-  s1.t_ratio = 0.5;
-  s1.f_ratio = 0.25;
-  s1.fairness = 0.9;
-  metrics::SeriesSample s2 = s1;
-  s2.hour = 2;
-  s2.t_ratio = 0.6;
-
-  const std::string csv = metrics::series_to_csv(
-      {"hid", "sid"}, {{s1, s2}, {s1}});
-  std::istringstream is(csv);
-  std::string header, row1, row2;
-  std::getline(is, header);
-  std::getline(is, row1);
-  std::getline(is, row2);
-  EXPECT_EQ(header,
-            "hour,hid_t_ratio,hid_f_ratio,hid_fairness,"
-            "sid_t_ratio,sid_f_ratio,sid_fairness");
-  EXPECT_EQ(row1, "1,0.5,0.25,0.9,0.5,0.25,0.9");
-  // The shorter series pads with empty cells.
-  EXPECT_EQ(row2, "2,0.6,0.25,0.9,,,");
-}
-
-TEST(Csv, WriteFileRoundTrip) {
-  const std::string path = "/tmp/soc_csv_test.csv";
-  ASSERT_TRUE(metrics::write_file(path, "a,b\n1,2\n"));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[32] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(std::string(buf, n), "a,b\n1,2\n");
-}
 
 TEST(AsciiArt, RendersAllZonesWithLabels) {
   can::CanSpace space(2, Rng(31));

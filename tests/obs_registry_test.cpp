@@ -4,9 +4,8 @@
 // shard writer/reader without aliasing any schema key.  The shard file
 // stores samples as {"k": name, "v": value} pairs precisely so a metric
 // named "series", "key" or "generated" lives inside an escaped string
-// value and can never fool the bounded needle parser; this test feeds it
-// the worst names we could think of and checks the scalars, series and
-// metrics all survive.
+// value, never as an object key; this test feeds it the worst names we
+// could think of and checks the scalars, series and metrics all survive.
 #include <gtest/gtest.h>
 #include <unistd.h>
 

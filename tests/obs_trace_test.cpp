@@ -6,9 +6,9 @@
 //      the churn scenario, so a tracer hook that draws RNG, schedules an
 //      event, or perturbs iteration order fails here before it can move
 //      a golden.
-//   2. The emitted trace is well-formed Chrome trace-event JSON — checked
-//      line-by-line with the same json_mini primitives the repo's other
-//      parsers use (no external JSON dependency).
+//   2. The emitted trace is well-formed Chrome trace-event JSON — parsed
+//      whole by the same strict json_mini reader the repo's other readers
+//      use (no external JSON dependency).
 //   3. Span accounting is sane: every completed task/query closes its
 //      async span, so 'e' events never outnumber 'b' events and at least
 //      one 'e' exists per finished task.
@@ -154,7 +154,7 @@ TEST(ObsTrace, TracedTraceIsDeterministic) {
   }
 }
 
-TEST(ObsTrace, JsonIsWellFormedLineByLine) {
+TEST(ObsTrace, TraceParsesAsStrictJson) {
   obs::Tracer tracer;
   obs::Tracer* prev = obs::install_tracer(&tracer);
   tracer.set_lane(3, "lane-three");
@@ -165,45 +165,28 @@ TEST(ObsTrace, JsonIsWellFormedLineByLine) {
   ASSERT_GT(tracer.event_count(), 0u);
 
   const std::string json = tracer.to_json();
-  const std::string head = "{\"traceEvents\": [\n";
-  const std::string tail = "\n]}\n";
-  ASSERT_EQ(json.rfind(head, 0), 0u);
-  ASSERT_GE(json.size(), head.size() + tail.size());
-  ASSERT_EQ(json.substr(json.size() - tail.size()), tail);
-
-  // One JSON object per line, ','-separated; each must expose its fields
-  // to the same bounded lookups every parser in this repo relies on.
-  const std::string body =
-      json.substr(head.size(), json.size() - head.size() - tail.size());
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start <= body.size()) {
-    std::size_t nl = body.find('\n', start);
-    if (nl == std::string::npos) nl = body.size();
-    std::string line = body.substr(start, nl - start);
-    start = nl + 1;
-    if (!line.empty() && line.back() == ',') line.pop_back();
-    ASSERT_FALSE(line.empty());
-    ++lines;
-    ASSERT_EQ(line.front(), '{') << line;
-    ASSERT_EQ(line.back(), '}') << line;
-    const auto ph = json_mini::find_string(line, "ph", 0);
-    ASSERT_TRUE(ph.has_value()) << line;
-    ASSERT_EQ(ph->size(), 1u) << line;
-    ASSERT_TRUE(json_mini::find_number(line, "pid", 0).has_value()) << line;
-    if (*ph == "M") continue;  // process_name metadata: no timestamp
-    EXPECT_TRUE(json_mini::find_number(line, "ts", 0).has_value()) << line;
-    EXPECT_TRUE(json_mini::find_string(line, "cat", 0).has_value()) << line;
-    EXPECT_TRUE(json_mini::find_string(line, "name", 0).has_value()) << line;
-    if (*ph == "b" || *ph == "e" || *ph == "n") {
-      EXPECT_TRUE(json_mini::find_string(line, "id", 0).has_value()) << line;
+  const auto doc = json_mini::Value::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  json_mini::Fields trace(*doc);
+  const std::vector<json_mini::Value>& events = trace.as_array("traceEvents");
+  ASSERT_TRUE(trace.ok());
+  // Every event carries the fields its phase needs, with the right types.
+  for (const json_mini::Value& e : events) {
+    json_mini::Fields f(e);
+    const std::string ph = f.as_string("ph");
+    ASSERT_EQ(ph.size(), 1u);
+    f.as_u64("pid");
+    if (ph != "M") {  // process_name metadata carries no timestamp
+      f.as_double("ts");
+      f.as_string("cat");
+      f.as_string("name");
+      if (ph == "b" || ph == "e" || ph == "n") f.as_string("id");
+      if (ph == "X") f.as_double("dur");
     }
-    if (*ph == "X") {
-      EXPECT_TRUE(json_mini::find_number(line, "dur", 0).has_value()) << line;
-    }
+    EXPECT_TRUE(f.ok()) << "malformed '" << ph << "' event";
   }
   // Every buffered event plus the one lane-metadata record made it out.
-  EXPECT_EQ(lines, tracer.event_count() + 1);
+  EXPECT_EQ(events.size(), tracer.event_count() + 1);
 }
 
 TEST(ObsTrace, GlobalSinkInstallsAndRestores) {

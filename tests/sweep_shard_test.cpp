@@ -607,7 +607,7 @@ TEST(SweepRunner, LatencyHistogramsRoundTripThroughShardFile) {
 TEST(SweepRunner, HostileCellKeysCannotForgeLatencyOrSeriesFields) {
   // A cell key carrying literal JSON ("hour": …, "lat_first_b": …) must be
   // escaped on write and must not fabricate series samples or histograms
-  // on read — the regression guard for the bounded first-match parser.
+  // on read.
   const TempDir dir("hostile");
   ShardResult result;
   result.spec_fingerprint = 0xbad;
