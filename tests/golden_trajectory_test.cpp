@@ -133,6 +133,71 @@ std::uint64_t experiment_fingerprint(core::ProtocolKind protocol) {
   return h.value();
 }
 
+// The fault paths the default runs never reach: a partition that parks the
+// cut nodes' protocol state and restores it at the heal (duty-cache
+// re-homing, parked-cache reconciliation, rejoin maintenance billing), and
+// link faults on every hop.  Same small churned run as above.  The cut is
+// shorter than the 600 s record TTL, so parked caches still hold live
+// records at the heal and the restore re-routes some of them.
+core::ExperimentConfig partition_config(core::ProtocolKind protocol) {
+  core::ExperimentConfig c = small_config(protocol);
+  c.scenario.partitions.push_back(
+      scenario::Partition{seconds(1200), 0.30, seconds(300)});
+  return c;
+}
+
+core::ExperimentConfig link_fault_config() {
+  core::ExperimentConfig c = small_config(core::ProtocolKind::kHidCan);
+  net::LinkFaultConfig& lf = c.link_faults;
+  lf.enabled = true;
+  lf.lan.p_enter_bad = 0.02;
+  lf.lan.p_exit_bad = 0.3;
+  lf.lan.loss_bad = 0.3;
+  lf.wan.p_enter_bad = 0.05;
+  lf.wan.p_exit_bad = 0.3;
+  lf.wan.loss_good = 0.01;
+  lf.wan.loss_bad = 0.5;
+  lf.reorder_probability = 0.05;
+  lf.reorder_extra_delay_s = 0.3;
+  lf.duplicate_probability = 0.02;
+  lf.straggler_fraction = 0.1;
+  lf.straggler_multiplier = 2.0;
+  return c;
+}
+
+/// Counters, per-type traffic outcomes, stale-record debt and every
+/// deterministic registry sample (the `mem.*` gauges included), so a
+/// refactor that moves a message, a record or a container's growth fails.
+std::uint64_t fault_fingerprint(const core::ExperimentResults& r) {
+  Fnv64 h;
+  for (const std::uint64_t v :
+       {r.generated, r.finished, r.failed, r.total_messages,
+        r.messages_delivered, r.messages_lost, r.messages_partitioned,
+        r.events_executed, r.stale_records_dead_provider,
+        r.stale_records_misplaced}) {
+    h.add(v);
+  }
+  h.add_double(r.t_ratio);
+  h.add_double(r.f_ratio);
+  h.add_double(r.avg_query_delay_s);
+  for (const auto& t : r.traffic_by_type) {
+    h.add(t.sent);
+    h.add(t.delivered);
+    h.add(t.lost);
+    h.add(t.partitioned);
+  }
+  for (const obs::MetricSample& m : r.metrics) {
+    if (!m.deterministic) continue;
+    for (const char c : m.name) h.add(static_cast<unsigned char>(c));
+    h.add_double(m.value);
+  }
+  return h.value();
+}
+
+std::uint64_t partition_fingerprint(core::ProtocolKind protocol) {
+  return fault_fingerprint(core::run_experiment(partition_config(protocol)));
+}
+
 /// The fingerprint registry: the single list --regen and the tests share,
 /// so a new golden can never be asserted without being regenerable.
 struct Golden {
@@ -147,6 +212,14 @@ constexpr Golden kGoldens[] = {
      [] { return experiment_fingerprint(core::ProtocolKind::kNewscast); }},
     {"khdn_can",
      [] { return experiment_fingerprint(core::ProtocolKind::kKhdnCan); }},
+    {"hid_can_partition",
+     [] { return partition_fingerprint(core::ProtocolKind::kHidCan); }},
+    {"khdn_can_partition",
+     [] { return partition_fingerprint(core::ProtocolKind::kKhdnCan); }},
+    {"newscast_partition",
+     [] { return partition_fingerprint(core::ProtocolKind::kNewscast); }},
+    {"hid_can_link_faults",
+     [] { return fault_fingerprint(core::run_experiment(link_fault_config())); }},
 };
 
 /// Parse "key value" lines ('#' starts a comment).  Returns false when the
@@ -202,6 +275,30 @@ TEST(GoldenTrajectory, KhdnCanSeriesBitIdentical) {
   EXPECT_EQ(actual, expected("khdn_can")) << "actual: " << actual;
 }
 
+// Park at the cut, restore and re-route at the heal, rejoin billing.
+TEST(GoldenTrajectory, PartitionRejoinBitIdentical) {
+  const std::pair<const char*, core::ProtocolKind> runs[] = {
+      {"hid_can_partition", core::ProtocolKind::kHidCan},
+      {"khdn_can_partition", core::ProtocolKind::kKhdnCan},
+      {"newscast_partition", core::ProtocolKind::kNewscast},
+  };
+  for (const auto& [key, protocol] : runs) {
+    const core::ExperimentResults r =
+        core::run_experiment(partition_config(protocol));
+    EXPECT_GT(r.stale_records_dead_provider, 0u)
+        << key << ": the cut never fired";
+    const std::uint64_t actual = fault_fingerprint(r);
+    EXPECT_EQ(actual, expected(key)) << key << " actual: " << actual;
+  }
+}
+
+TEST(GoldenTrajectory, HidCanLinkFaultsBitIdentical) {
+  const core::ExperimentResults r = core::run_experiment(link_fault_config());
+  EXPECT_GT(r.messages_lost, 0u);
+  const std::uint64_t actual = fault_fingerprint(r);
+  EXPECT_EQ(actual, expected("hid_can_link_faults")) << "actual: " << actual;
+}
+
 /// --regen: recompute every registered fingerprint and rewrite the golden
 /// file, printing old -> new so the intentional change is reviewable.
 int regen_goldens() {
@@ -228,14 +325,14 @@ int regen_goldens() {
     out << g.key << ' ' << value << '\n';
     const std::uint64_t* was = previous(g.key);
     if (was == nullptr) {
-      std::printf("regen: %-10s (new)      -> %llu\n", g.key,
+      std::printf("regen: %-19s (new)      -> %llu\n", g.key,
                   static_cast<unsigned long long>(value));
     } else if (*was != value) {
-      std::printf("regen: %-10s %llu -> %llu\n", g.key,
+      std::printf("regen: %-19s %llu -> %llu\n", g.key,
                   static_cast<unsigned long long>(*was),
                   static_cast<unsigned long long>(value));
     } else {
-      std::printf("regen: %-10s unchanged (%llu)\n", g.key,
+      std::printf("regen: %-19s unchanged (%llu)\n", g.key,
                   static_cast<unsigned long long>(value));
     }
   }
