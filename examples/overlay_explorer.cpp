@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   };
   const std::uint64_t before = query_traffic();
   engine.submit_k(ids[1], demand, corner, 1,
-                  [&](std::vector<query::Candidate> found) {
+                  [&](std::vector<Candidate> found) {
                     if (found.empty()) {
                       std::printf("   PID-CAN query: no match\n");
                     } else {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t before_full = query_traffic();
   engine.submit_full_range(ids[1], demand, corner,
-                           [&](std::vector<query::Candidate> found) {
+                           [&](std::vector<Candidate> found) {
                              std::printf("   INSCAN-RQ flood: %zu qualified "
                                          "records in the whole range\n",
                                          found.size());

@@ -123,13 +123,6 @@ PartitionTree::Repair PartitionTree::leave(NodeId owner) {
   return repair;
 }
 
-std::vector<NodeId> PartitionTree::owners() const {
-  std::vector<NodeId> out;
-  out.reserve(leaves_.size());
-  for (const auto& [id, _] : leaves_) out.push_back(id);
-  return out;
-}
-
 bool PartitionTree::tiles_unit_cube() const {
   // Volumes of leaves must sum to 1 and each internal node's children must
   // exactly partition it; the construction guarantees the latter, so the

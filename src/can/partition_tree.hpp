@@ -62,7 +62,7 @@ class PartitionTree {
   Repair leave(NodeId owner);
 
   /// All live owners, in ascending id order.
-  [[nodiscard]] std::vector<NodeId> owners() const;
+  [[nodiscard]] std::vector<NodeId> owners() const { return leaves_.ids(); }
 
   /// Test oracle: zones of all leaves tile the unit cube exactly.
   [[nodiscard]] bool tiles_unit_cube() const;

@@ -67,10 +67,6 @@ void CanSpace::drop_from_all_neighbors(NodeId id) {
   }
 }
 
-void CanSpace::notify_topology(NodeId id) {
-  if (listener_.on_topology_changed) listener_.on_topology_changed(id);
-}
-
 Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
   SOC_CHECK(id.valid());
   SOC_CHECK_MSG(!members_.contains(id), "node already joined");
@@ -84,7 +80,6 @@ Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
     tree_.emplace(dims_, id);
     const Zone unit = Zone::unit(dims_);
     members_.emplace(id, Member{unit, unit.center(), {}, {}});
-    notify_topology(id);
     return p;
   }
 
@@ -108,9 +103,6 @@ Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
 
   // Records of the splitter that now fall in the joiner's half move over.
   if (listener_.on_rehome) listener_.on_rehome(owner, id);
-  notify_topology(owner);
-  notify_topology(id);
-  for (const NodeId n : member(id).neighbors) notify_topology(n);
   return p;
 }
 
@@ -165,11 +157,6 @@ void CanSpace::leave(NodeId id) {
   // to z as part of the same repair.
   if (repair.reassigned_to.valid() && listener_.on_rehome) {
     listener_.on_rehome(repair.reassigned_to, repair.merge_survivor);
-  }
-
-  for (const NodeId a : affected) notify_topology(a);
-  for (const NodeId c : candidates) {
-    if (members_.contains(c)) notify_topology(c);
   }
 
   // Safe point: every Member& taken during the repair is dead and all
@@ -282,14 +269,6 @@ std::vector<NodeId> CanSpace::route(NodeId from, const Point& target) const {
     SOC_CHECK_MSG(path.size() <= members_.size(), "routing loop");
   }
   return path;
-}
-
-std::vector<NodeId> CanSpace::member_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(members_.size());
-  // DenseNodeMap iterates in ascending id order, so no sort is needed.
-  for (const auto& [id, _] : members_) out.push_back(id);
-  return out;
 }
 
 NodeId CanSpace::random_member(Rng& rng) const {

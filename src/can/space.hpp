@@ -45,13 +45,11 @@ class CanSpace {
     bool positive = false;  ///< neighbor starts where our zone ends
   };
 
-  /// Callbacks the record/index layers hook to stay consistent with zone
+  /// The callback the duty-cache layers hook to stay consistent with zone
   /// ownership changes.
   struct Listener {
     /// All records of `from` that now fall inside `to`'s zone must move.
     std::function<void(NodeId from, NodeId to)> on_rehome;
-    /// The node's zone or neighbor set changed (indices may be stale).
-    std::function<void(NodeId)> on_topology_changed;
   };
 
   CanSpace(std::size_t dims, Rng rng);
@@ -138,7 +136,9 @@ class CanSpace {
   [[nodiscard]] std::vector<NodeId> route(NodeId from,
                                           const Point& target) const;
 
-  [[nodiscard]] std::vector<NodeId> member_ids() const;
+  [[nodiscard]] std::vector<NodeId> member_ids() const {
+    return members_.ids();
+  }
 
   /// A uniformly random member (for bootstrap contacts).
   [[nodiscard]] NodeId random_member(Rng& rng) const;
@@ -200,7 +200,6 @@ class CanSpace {
                           bool positive);
   static void erase_link(Member& m, NodeId id);
   void drop_from_all_neighbors(NodeId id);
-  void notify_topology(NodeId id);
 
   std::size_t dims_;
   Rng rng_;

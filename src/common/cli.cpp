@@ -1,9 +1,43 @@
 #include "src/common/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 namespace soc {
+
+namespace {
+
+std::optional<std::size_t> parse_count(const std::string& name,
+                                       const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  // strtoull skips blanks and negates a '-': demand a leading digit.
+  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "--%s: '%s' is not a non-negative integer\n",
+                 name.c_str(), s.c_str());
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(v);
+}
+
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    if (comma > start) out.push_back(text.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return out;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -42,27 +76,18 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
 }
 
+std::optional<std::size_t> CliArgs::get_count(const std::string& name,
+                                              std::size_t fallback) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  return parse_count(name, it->second);
+}
+
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
-
-namespace {
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    if (comma > start) out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<std::string> CliArgs::get_list(const std::string& name,
                                            const std::string& fallback) const {
@@ -89,14 +114,9 @@ std::optional<std::vector<std::size_t>> CliArgs::get_size_list(
     const std::string& name, const std::string& fallback) const {
   std::vector<std::size_t> out;
   for (const std::string& s : get_list(name, fallback)) {
-    char* end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < 0) {
-      std::fprintf(stderr, "--%s: '%s' is not a non-negative integer\n",
-                   name.c_str(), s.c_str());
-      return std::nullopt;
-    }
-    out.push_back(static_cast<std::size_t>(v));
+    const auto v = parse_count(name, s);
+    if (!v.has_value()) return std::nullopt;
+    out.push_back(*v);
   }
   return out;
 }

@@ -22,6 +22,11 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  /// Strict count: the whole token must be a non-negative decimal integer
+  /// that fits a size_t, else nullopt with a message on stderr (a '-1'
+  /// must not wrap to a huge count, nor '2x' read as 2).
+  [[nodiscard]] std::optional<std::size_t> get_count(
+      const std::string& name, std::size_t fallback) const;
 
   // Comma-separated list forms (sweep grids: --lambdas 0.3,0.5).  The
   // fallback is given in the same comma-separated syntax; empty elements

@@ -121,6 +121,14 @@ class DenseNodeMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
+  /// The live ids, ascending.
+  [[nodiscard]] std::vector<NodeId> ids() const {
+    std::vector<NodeId> out;
+    out.reserve(size_);
+    for (const auto& [id, value] : *this) out.push_back(id);
+    return out;
+  }
+
   /// Backing-array length (live slots + holes): what iteration actually
   /// walks.  slot_span() - size() is the vacant-slot count; compaction
   /// drives it back to zero.

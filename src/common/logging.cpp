@@ -24,10 +24,8 @@ std::mutex g_write_mutex;
 // Token bucket, wall-clock refill.  Guarded by g_write_mutex.
 constexpr double kBurstLines = 200.0;
 constexpr double kLinesPerSec = 100.0;
-bool g_rate_limit_enabled = true;
 double g_tokens = kBurstLines;
 std::uint64_t g_last_refill_ns = 0;
-std::atomic<std::uint64_t> g_suppressed_total{0};
 std::uint64_t g_suppressed_run = 0;  // since the last emitted line
 
 // Per-thread simulated-time source (installed by Simulator::run_until).
@@ -68,7 +66,6 @@ std::uint64_t mono_ns() {
 /// Take one token; false means the line is dropped.  Caller holds
 /// g_write_mutex.
 bool take_token() {
-  if (!g_rate_limit_enabled) return true;
   const std::uint64_t now = mono_ns();
   if (g_last_refill_ns == 0) g_last_refill_ns = now;
   const double elapsed_s =
@@ -114,17 +111,6 @@ Logger::TimeSource Logger::set_time_source(TimeSource src) {
   return prev;
 }
 
-bool Logger::set_rate_limit(bool enabled) {
-  const std::scoped_lock lock(g_write_mutex);
-  const bool prev = g_rate_limit_enabled;
-  g_rate_limit_enabled = enabled;
-  return prev;
-}
-
-std::uint64_t Logger::suppressed_total() {
-  return g_suppressed_total.load(std::memory_order_relaxed);
-}
-
 void Logger::write(LogLevel lvl, const std::string& msg) {
   if (lvl < level()) return;
 
@@ -145,7 +131,6 @@ void Logger::write(LogLevel lvl, const std::string& msg) {
 
   const std::scoped_lock lock(g_write_mutex);
   if (!take_token()) {
-    g_suppressed_total.fetch_add(1, std::memory_order_relaxed);
     ++g_suppressed_run;
     return;
   }

@@ -39,13 +39,6 @@ class Logger {
     const void* ctx = nullptr;
   };
   static TimeSource set_time_source(TimeSource src);
-
-  /// Disable/restore the rate limiter (tests that count their own
-  /// lines).  Returns the previous setting.
-  static bool set_rate_limit(bool enabled);
-
-  /// Lines dropped by the rate limiter since process start.
-  static std::uint64_t suppressed_total();
 };
 
 namespace detail {

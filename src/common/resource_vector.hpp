@@ -16,6 +16,7 @@
 #include <string>
 
 #include "src/common/assert.hpp"
+#include "src/common/types.hpp"
 
 namespace soc {
 
@@ -178,5 +179,12 @@ class ResourceVector {
 double best_fit_slack(const ResourceVector& availability,
                       const ResourceVector& demand,
                       const ResourceVector& capacity_scale);
+
+/// What every discovery protocol hands back: a provider and its advertised
+/// (possibly stale) availability.
+struct Candidate {
+  NodeId provider;
+  ResourceVector availability;
+};
 
 }  // namespace soc

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/common/logging.hpp"
 #include "src/core/khdn_protocol.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/trace.hpp"
@@ -63,7 +62,7 @@ struct Experiment::TaskRun {
   bool is_restart = false;        // checkpoint re-entry, not a fresh submit
   bool first_result_seen = false; // first-result latency already recorded
   std::unordered_set<NodeId> tried;  // providers that already rejected us
-  std::vector<Discovered> backlog;   // untried candidates from the last query
+  std::vector<Candidate> backlog;   // untried candidates from the last query
   std::function<void()> on_complete;  // closed-loop client wakeup (nullable)
 };
 
@@ -510,14 +509,14 @@ void Experiment::begin_query(const std::shared_ptr<TaskRun>& run) {
   const SimTime started = sim_.now();
   protocol_->query(run->spec.origin, run->spec.expectation,
                    config_.want_results,
-                   [this, run, started](std::vector<Discovered> candidates) {
+                   [this, run, started](std::vector<Candidate> candidates) {
                      query_delay_s_.add(to_seconds(sim_.now() - started));
                      on_candidates(run, std::move(candidates));
                    });
 }
 
 void Experiment::on_candidates(const std::shared_ptr<TaskRun>& run,
-                               std::vector<Discovered> candidates) {
+                               std::vector<Candidate> candidates) {
   if (run->settled) return;
   if (candidates.empty() && run->backlog.empty()) ++empty_query_results_;
   // Keep any still-untried candidates from earlier attempts as fallbacks.
@@ -531,7 +530,7 @@ void Experiment::on_candidates(const std::shared_ptr<TaskRun>& run,
   const ResourceVector scale = node_gen_.cmax();
   NodeId best;
   double best_slack = std::numeric_limits<double>::infinity();
-  for (const Discovered& c : run->backlog) {
+  for (const Candidate& c : run->backlog) {
     if (run->tried.contains(c.provider)) continue;
     if (!c.availability.dominates(e)) continue;
     const double slack = best_fit_slack(c.availability, e, scale);

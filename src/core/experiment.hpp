@@ -331,7 +331,7 @@ class Experiment {
                                std::function<void()> on_complete);
   void begin_query(const std::shared_ptr<TaskRun>& run);
   void on_candidates(const std::shared_ptr<TaskRun>& run,
-                     std::vector<Discovered> candidates);
+                     std::vector<Candidate> candidates);
   void dispatch(const std::shared_ptr<TaskRun>& run, NodeId provider);
   void retry_or_fail(const std::shared_ptr<TaskRun>& run);
   void on_host_finished_task(NodeId host, const psm::CompletionInfo& info);

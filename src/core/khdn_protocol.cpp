@@ -35,9 +35,8 @@ void KhdnProtocol::set_availability_source(AvailabilityFn fn) {
 void KhdnProtocol::on_join(NodeId id) {
   space_.join(id);
   system_.add_node(id);
-  for (std::size_t i = 0; i < space_.neighbors_of(id).size(); ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
+  bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64,
+                                 space_.neighbors_of(id).size());
   system_.publish_now(id);
 }
 
@@ -45,9 +44,7 @@ void KhdnProtocol::leave_overlay(NodeId id) {
   const std::size_t msgs = space_.neighbors_of(id).size();
   system_.remove_node(id);
   space_.leave(id);
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
+  bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64, msgs);
 }
 
 void KhdnProtocol::on_leave(NodeId id) {
@@ -76,17 +73,9 @@ void KhdnProtocol::on_rejoin(NodeId id) {
   parked_.erase(it);
   space_.join(id);
   system_.restore_node(id, std::move(store));
-  for (std::size_t i = 0; i < space_.neighbors_of(id).size(); ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
+  bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64,
+                                 space_.neighbors_of(id).size());
   system_.publish_now(id);
-}
-
-std::vector<NodeId> KhdnProtocol::parked_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(parked_.size());
-  for (const auto& [id, store] : parked_) out.push_back(id);
-  return out;
 }
 
 StaleDebt KhdnProtocol::stale_debt(
@@ -108,15 +97,7 @@ void KhdnProtocol::republish(NodeId id) {
 void KhdnProtocol::query(NodeId requester, const ResourceVector& demand,
                          std::size_t want, QueryCallback cb) {
   system_.query(requester, demand, can::Point::normalized(demand, cmax_),
-                want,
-                [cb = std::move(cb)](std::vector<khdn::KhdnCandidate> f) {
-                  std::vector<Discovered> out;
-                  out.reserve(f.size());
-                  for (auto& c : f) {
-                    out.push_back(Discovered{c.provider, c.availability});
-                  }
-                  cb(std::move(out));
-                });
+                want, std::move(cb));
 }
 
 }  // namespace soc::core

@@ -19,7 +19,9 @@ class KhdnProtocol final : public DiscoveryProtocol {
   void on_leave(NodeId id) override;
   void on_partition_out(NodeId id) override;
   void on_rejoin(NodeId id) override;
-  [[nodiscard]] std::vector<NodeId> parked_ids() const override;
+  [[nodiscard]] std::vector<NodeId> parked_ids() const override {
+    return parked_keys(parked_);
+  }
   /// Counts dead-provider records only: the K-hop spread *intentionally*
   /// replicates records away from the duty node, so "misplaced" is not a
   /// defect for KHDN and stays zero.

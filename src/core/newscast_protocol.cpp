@@ -61,13 +61,6 @@ void NewscastProtocol::on_rejoin(NodeId id) {
   members_.push_back(id);
 }
 
-std::vector<NodeId> NewscastProtocol::parked_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(parked_.size());
-  for (const auto& [id, view] : parked_) out.push_back(id);
-  return out;
-}
-
 StaleDebt NewscastProtocol::stale_debt(
     const std::function<bool(NodeId)>& reachable, SimTime now) const {
   StaleDebt debt;
@@ -83,15 +76,7 @@ StaleDebt NewscastProtocol::stale_debt(
 
 void NewscastProtocol::query(NodeId requester, const ResourceVector& demand,
                              std::size_t want, QueryCallback cb) {
-  system_.query(requester, demand, want,
-                [cb = std::move(cb)](std::vector<gossip::GossipCandidate> f) {
-                  std::vector<Discovered> out;
-                  out.reserve(f.size());
-                  for (auto& c : f) {
-                    out.push_back(Discovered{c.provider, c.availability});
-                  }
-                  cb(std::move(out));
-                });
+  system_.query(requester, demand, want, std::move(cb));
 }
 
 }  // namespace soc::core

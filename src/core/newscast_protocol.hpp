@@ -19,7 +19,9 @@ class NewscastProtocol final : public DiscoveryProtocol {
   void on_leave(NodeId id) override;
   void on_partition_out(NodeId id) override;
   void on_rejoin(NodeId id) override;
-  [[nodiscard]] std::vector<NodeId> parked_ids() const override;
+  [[nodiscard]] std::vector<NodeId> parked_ids() const override {
+    return parked_keys(parked_);
+  }
   /// Counts fresh (non-expired) view entries naming unreachable providers.
   /// Views have no placement, so "misplaced" stays zero.
   [[nodiscard]] StaleDebt stale_debt(

@@ -67,25 +67,29 @@ void PidCanProtocol::set_availability_source(AvailabilityFn fn) {
 void PidCanProtocol::on_join(NodeId id) {
   space_.join(id);
   index_.add_node(id);
-  if (aggregator_) {
-    // The node's contribution to c_max is its capacity; at join time its
-    // availability equals it (no tasks admitted yet).
-    ResourceVector local = cmax_;
-    if (raw_availability_) {
-      if (const auto a = raw_availability_(id); a.has_value()) local = *a;
-    }
-    aggregator_->add_node(id, local);
-  }
-  // Account the join's overlay maintenance traffic: the join request routes
-  // to the split node and the new neighbor set is notified.
-  const std::size_t msgs =
-      options_.maintenance_msgs_per_join + space_.neighbors_of(id).size();
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
+  join_aggregator(id);
+  bill_join(id);
   // Fresh members publish immediately so they become discoverable before
   // the first periodic update.
   index_.publish_now(id);
+}
+
+void PidCanProtocol::join_aggregator(NodeId id) {
+  if (!aggregator_) return;
+  // The node's contribution to c_max is its capacity; at join time its
+  // availability equals it (no tasks admitted yet).
+  ResourceVector local = cmax_;
+  if (raw_availability_) {
+    if (const auto a = raw_availability_(id); a.has_value()) local = *a;
+  }
+  aggregator_->add_node(id, local);
+}
+
+void PidCanProtocol::bill_join(NodeId id) {
+  // The join request routes to the split node; the new neighbors hear.
+  bus_.stats().on_synthetic_send(
+      id, net::MsgType::kMaintenance, 64,
+      options_.maintenance_msgs_per_join + space_.neighbors_of(id).size());
 }
 
 void PidCanProtocol::leave_overlay(NodeId id) {
@@ -93,9 +97,7 @@ void PidCanProtocol::leave_overlay(NodeId id) {
   if (aggregator_) aggregator_->remove_node(id);
   index_.remove_node(id);
   space_.leave(id);
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
+  bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64, msgs);
 }
 
 void PidCanProtocol::on_leave(NodeId id) {
@@ -121,32 +123,13 @@ void PidCanProtocol::on_rejoin(NodeId id) {
     on_join(id);
     return;
   }
-  index::IndexSystem::ParkedNode parked = std::move(it->second);
+  index::IndexSystem::NodeState parked = std::move(it->second);
   parked_.erase(it);
   space_.join(id);
-  if (aggregator_) {
-    ResourceVector local = cmax_;
-    if (raw_availability_) {
-      if (const auto a = raw_availability_(id); a.has_value()) local = *a;
-    }
-    aggregator_->add_node(id, local);
-  }
+  join_aggregator(id);
   index_.restore_node(id, std::move(parked));
-  // Rejoin pays the same overlay-maintenance bill as a join: the zone
-  // re-split routes and the new neighbor set is notified.
-  const std::size_t msgs =
-      options_.maintenance_msgs_per_join + space_.neighbors_of(id).size();
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
+  bill_join(id);  // a rejoin re-splits a zone like a join
   index_.publish_now(id);
-}
-
-std::vector<NodeId> PidCanProtocol::parked_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(parked_.size());
-  for (const auto& [id, state] : parked_) out.push_back(id);
-  return out;
 }
 
 StaleDebt PidCanProtocol::stale_debt(
@@ -199,18 +182,9 @@ ResourceVector PidCanProtocol::skew_demand(const ResourceVector& e,
 
 void PidCanProtocol::query(NodeId requester, const ResourceVector& demand,
                            std::size_t want, QueryCallback cb) {
-  auto to_discovered = [](std::vector<query::Candidate> found) {
-    std::vector<Discovered> out;
-    out.reserve(found.size());
-    for (auto& c : found) out.push_back(Discovered{c.provider, c.availability});
-    return out;
-  };
-
   if (!options_.slack_on_submission) {
     engine_.submit_k(requester, demand, locate(demand, rng_), want,
-                     [cb = std::move(cb), to_discovered](auto found) {
-                       cb(to_discovered(std::move(found)));
-                     });
+                     std::move(cb));
     return;
   }
 
@@ -220,16 +194,13 @@ void PidCanProtocol::query(NodeId requester, const ResourceVector& demand,
   const ResourceVector skewed = skew_demand(demand, requester);
   engine_.submit_k(
       requester, skewed, locate(skewed, rng_), want,
-      [this, requester, demand, want, cb = std::move(cb),
-       to_discovered](auto found) {
+      [this, requester, demand, want,
+       cb = std::move(cb)](std::vector<Candidate> found) {
         if (found.size() >= want) {
-          cb(to_discovered(std::move(found)));
+          cb(std::move(found));
           return;
         }
-        engine_.submit_k(requester, demand, locate(demand, rng_), want,
-                         [cb, to_discovered](auto retry_found) {
-                           cb(to_discovered(std::move(retry_found)));
-                         });
+        engine_.submit_k(requester, demand, locate(demand, rng_), want, cb);
       });
 }
 

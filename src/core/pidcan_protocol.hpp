@@ -41,7 +41,9 @@ class PidCanProtocol final : public DiscoveryProtocol {
   void on_leave(NodeId id) override;
   void on_partition_out(NodeId id) override;
   void on_rejoin(NodeId id) override;
-  [[nodiscard]] std::vector<NodeId> parked_ids() const override;
+  [[nodiscard]] std::vector<NodeId> parked_ids() const override {
+    return parked_keys(parked_);
+  }
   [[nodiscard]] StaleDebt stale_debt(
       const std::function<bool(NodeId)>& reachable,
       SimTime now) const override;
@@ -90,6 +92,10 @@ class PidCanProtocol final : public DiscoveryProtocol {
   /// Eq. (3): a componentwise-random vector with e ≼ e' ≼ c_max.
   [[nodiscard]] ResourceVector skew_demand(const ResourceVector& e,
                                            NodeId requester);
+  /// Enter the c_max aggregation (when on) with the node's availability.
+  void join_aggregator(NodeId id);
+  /// Bill a (re)join's overlay maintenance traffic.
+  void bill_join(NodeId id);
   /// Shared overlay teardown (aggregator, index, CAN zone, maintenance
   /// billing) behind on_leave and on_partition_out.
   void leave_overlay(NodeId id);
@@ -105,7 +111,7 @@ class PidCanProtocol final : public DiscoveryProtocol {
   AvailabilityFn raw_availability_;
   std::unique_ptr<gossip::MaxAggregator> aggregator_;
   /// Partitioned-out nodes' INSCAN state, keyed ascending, awaiting rejoin.
-  std::map<NodeId, index::IndexSystem::ParkedNode> parked_;
+  std::map<NodeId, index::IndexSystem::NodeState> parked_;
 };
 
 }  // namespace soc::core

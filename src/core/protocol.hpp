@@ -4,6 +4,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,13 +14,6 @@
 #include "src/obs/profiler.hpp"
 
 namespace soc::core {
-
-/// A discovered execution candidate: the advertised (possibly stale)
-/// availability of a provider node.
-struct Discovered {
-  NodeId provider;
-  ResourceVector availability;
-};
 
 /// Stale-record debt: how much of the protocol's cached discovery state
 /// points at providers that can no longer serve.  `dead_provider` counts
@@ -34,11 +28,20 @@ struct StaleDebt {
   }
 };
 
+/// The ids of a partition-parked state map, ascending (parked_ids()).
+template <typename Parked>
+std::vector<NodeId> parked_keys(const std::map<NodeId, Parked>& parked) {
+  std::vector<NodeId> out;
+  out.reserve(parked.size());
+  for (const auto& [id, state] : parked) out.push_back(id);
+  return out;
+}
+
 class DiscoveryProtocol {
  public:
   using AvailabilityFn =
       std::function<std::optional<ResourceVector>(NodeId)>;
-  using QueryCallback = std::function<void(std::vector<Discovered>)>;
+  using QueryCallback = std::function<void(std::vector<Candidate>)>;
 
   virtual ~DiscoveryProtocol() = default;
 

@@ -160,7 +160,7 @@ void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
     if ((sim_.now() - e.heard_at) >= config_.entry_ttl) continue;
     if (!e.availability.dominates(p.demand)) continue;
     if (!p.seen.insert(e.id).second) continue;
-    p.results.push_back(GossipCandidate{e.id, e.availability});
+    p.results.push_back(Candidate{e.id, e.availability});
   }
   if (p.results.size() >= p.want || ttl == 0) {
     if (at == p.requester || p.results.size() >= p.want) {

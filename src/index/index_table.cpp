@@ -47,14 +47,6 @@ void IndexTable::store(std::size_t dim, can::Direction dir, std::size_t level,
   track.push_back(Entry{id, level, now});
 }
 
-void IndexTable::clear_track(std::size_t dim, can::Direction dir) {
-  tracks_[track_index(dim, dir)].clear();
-}
-
-void IndexTable::clear_all() {
-  for (auto& t : tracks_) t.clear();
-}
-
 std::vector<IndexTable::Entry> IndexTable::live_entries(
     std::size_t dim, can::Direction dir, SimTime now) const {
   std::vector<Entry> out;

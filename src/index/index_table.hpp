@@ -38,10 +38,6 @@ class IndexTable {
   void store(std::size_t dim, can::Direction dir, std::size_t level,
              NodeId id, SimTime now);
 
-  /// Drop everything learned about a dimension/direction (pre-refresh).
-  void clear_track(std::size_t dim, can::Direction dir);
-  void clear_all();
-
   /// A NINode along (dim, dir) chosen per the policy; nullopt when the
   /// track is empty (e.g. at the space edge).  Allocation-free: selection
   /// runs as indexed scans over the track plus a 64-bit level mask (hence

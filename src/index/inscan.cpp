@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "src/common/logging.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc::index {
@@ -16,21 +15,9 @@ IndexSystem::IndexSystem(sim::Simulator& sim, net::MessageBus& bus,
 }
 
 void IndexSystem::attach_to_space() {
-  can::CanSpace::Listener listener;
-  listener.on_rehome = [this](NodeId from, NodeId to) {
-    if (!state_.contains(from)) return;
-    // Move the records that now belong to `to`'s zone.  When `from` is no
-    // longer a member (departure) everything moves.
-    std::vector<Record> moved;
-    if (space_.contains(from) && space_.contains(to)) {
-      moved = cache(from).extract_in_zone(space_.zone_of(to), sim_.now());
-    } else {
-      moved = cache(from).extract_all();
-    }
-    RecordStore& dst = cache(to);
-    for (const Record& r : moved) dst.put(r);
-  };
-  space_.set_listener(std::move(listener));
+  attach_rehome(
+      space_, sim_, [this](NodeId id) { return state_.contains(id); },
+      [this](NodeId id) -> RecordStore& { return cache(id); });
 }
 
 IndexSystem::NodeState& IndexSystem::state(NodeId id) {
@@ -49,11 +36,7 @@ IndexTable& IndexSystem::table(NodeId id) { return state(id).table; }
 void IndexSystem::add_node(NodeId id) {
   SOC_CHECK(space_.contains(id));
   state(id);  // materialize
-  // Bootstrap the index tables right away, then keep them fresh.
-  for (std::size_t d = 0; d < space_.dims(); ++d) {
-    probe_now(id, d, can::Direction::kNegative);
-    probe_now(id, d, can::Direction::kPositive);
-  }
+  probe_all(id);  // bootstrap the index tables, then keep them fresh
   start_periodics(id);
 }
 
@@ -66,34 +49,24 @@ void IndexSystem::remove_node(NodeId id) {
   last_location_.maybe_compact();
 }
 
-IndexSystem::ParkedNode IndexSystem::park_node(NodeId id) {
+IndexSystem::NodeState IndexSystem::park_node(NodeId id) {
   SOC_CHECK(state_.contains(id));
-  NodeState& st = state(id);
-  // Moved-from sub-objects are left empty, so the departure teardown that
+  // The moved-from state is left empty, so the departure teardown that
   // follows re-homes nothing to the takeover node.
-  return ParkedNode{std::move(st.cache), std::move(st.pi),
-                    std::move(st.table), st.rng};
+  return std::move(state(id));
 }
 
-void IndexSystem::restore_node(NodeId id, ParkedNode parked) {
+void IndexSystem::restore_node(NodeId id, NodeState parked) {
   SOC_CHECK(space_.contains(id));
-  parked.cache.prune(sim_.now());
-  // Keep what the node's new zone still covers; everything else goes back
-  // through the normal state-update routing to its current duty node.
-  std::vector<Record> keep =
-      parked.cache.extract_in_zone(space_.zone_of(id), sim_.now());
-  std::vector<Record> reroute = parked.cache.extract_all();
-  for (const Record& r : keep) parked.cache.put(r);
   // The CanSpace join that preceded this restore split a zone, and the
   // rehome listener materialized a fresh NodeState to receive the split
-  // zone's records — fold those into the parked cache (they are in-zone
-  // by construction) and resume on the parked state.
-  if (NodeState* fresh = state_.find(id)) {
-    for (const Record& r : fresh->cache.extract_all()) parked.cache.put(r);
-    state_.erase(id);
-  }
-  state_.emplace(id, NodeState{std::move(parked.cache), std::move(parked.pi),
-                               std::move(parked.table), parked.rng});
+  // zone's records; they fold into the parked cache, which resumes.
+  NodeState* fresh = state_.find(id);
+  const std::vector<Record> reroute =
+      reconcile_parked(parked.cache, fresh != nullptr ? &fresh->cache : nullptr,
+                       space_.zone_of(id), sim_.now());
+  if (fresh != nullptr) state_.erase(id);
+  state_.emplace(id, std::move(parked));
   for (const Record& r : reroute) {
     route(id, r.location, net::MsgType::kStateUpdate, config_.state_msg_bytes,
           [this, r](NodeId duty) {
@@ -104,31 +77,13 @@ void IndexSystem::restore_node(NodeId id, ParkedNode parked) {
   // The parked index table is stale (the neighborhood changed while cut
   // off); bootstrap probes rebuild it like a join, and stale fingers are
   // skipped by routing's contains() guards until then.
-  for (std::size_t d = 0; d < space_.dims(); ++d) {
-    probe_now(id, d, can::Direction::kNegative);
-    probe_now(id, d, can::Direction::kPositive);
-  }
+  probe_all(id);
   start_periodics(id);
 }
 
-std::vector<NodeId> IndexSystem::tracked_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(state_.size());
-  for (const auto& [id, st] : state_) out.push_back(id);
-  return out;
-}
-
 std::string IndexSystem::check_membership_consistency() const {
-  for (const auto& [id, st] : state_) {
-    if (!space_.contains(id)) {
-      return "ghost NodeState for non-member " + std::to_string(id.value);
-    }
-  }
-  for (const NodeId id : space_.member_ids()) {
-    if (!state_.contains(id)) {
-      return "member " + std::to_string(id.value) + " has no NodeState";
-    }
-  }
+  std::string err = check_tracks_members(state_, space_, "NodeState");
+  if (!err.empty()) return err;
   for (const auto& [id, loc] : last_location_) {
     if (!state_.contains(id)) {
       return "last-location filed for untracked node " +
@@ -167,10 +122,7 @@ void IndexSystem::start_periodics(NodeId id) {
       config_.index_refresh_period,
       [this, id] {
         if (!state_.contains(id) || !space_.contains(id)) return false;
-        for (std::size_t d = 0; d < space_.dims(); ++d) {
-          probe_now(id, d, can::Direction::kNegative);
-          probe_now(id, d, can::Direction::kPositive);
-        }
+        probe_all(id);
         return true;
       },
       static_cast<SimTime>(
@@ -179,77 +131,31 @@ void IndexSystem::start_periodics(NodeId id) {
 }
 
 // ---------------------------------------------------------------------------
-// Greedy routing (plain CAN neighbors, optionally + index-table fingers)
-
-// Everything a multi-hop route needs, allocated once per route; hop
-// closures capture only {this, ctx, at, ttl} and stay inside the InlineFn
-// small buffer.
-struct IndexSystem::RouteCtx {
-  can::Point target;
-  net::MsgType type;
-  std::size_t bytes;
-  ArriveFn on_arrive;
-};
+// Greedy routing (CAN neighbors + index-table fingers)
 
 void IndexSystem::route(NodeId from, const can::Point& target,
                         net::MsgType type, std::size_t bytes,
-                        ArriveFn on_arrive) {
-  auto ctx = std::make_shared<RouteCtx>(
-      RouteCtx{target, type, bytes, std::move(on_arrive)});
-  route_step(from, config_.route_ttl, ctx);
+                        can::ArriveFn on_arrive) {
+  can::route_greedy(space_, bus_, from, target, type, bytes, config_.route_ttl,
+                    std::move(on_arrive), this);
 }
 
-void IndexSystem::route_step(NodeId at, std::size_t ttl,
-                             const std::shared_ptr<RouteCtx>& ctx) {
-  const can::Point& target = ctx->target;
-  if (!space_.contains(at)) return;  // current hop churned out: message lost
-  if (space_.zone_of(at).contains(target)) {
-    ctx->on_arrive(at);
-    return;
-  }
-  if (ttl == 0) {
-    SOC_LOG(kDebug) << "route TTL exhausted at node " << at.value;
-    return;
-  }
-
-  // Greedy choice over adjacent neighbors plus (optionally) index fingers,
-  // ranked by (containment, box distance, center distance) — the strictly
-  // decreasing key avoids cycles and resolves corner/boundary plateaus
-  // (see CanSpace::next_hop).  The neighbor scan prunes via the cached
-  // abutting-dimension metadata; a containing neighbor short-circuits the
-  // finger scan (no finger can displace a zone that owns the target).
-  NodeId best;
-  double best_d = space_.zone_of(at).distance_sq(target);
-  double best_c = can::point_distance_sq(space_.center_of(at), target);
-  const bool contained =
-      space_.scan_neighbors_toward(at, target, best, best_d, best_c);
-  if (!contained && config_.long_link_routing && state_.contains(at)) {
-    auto consider = [&](NodeId cand) {
-      if (cand == at || !space_.contains(cand)) return;
-      space_.consider_candidate_toward(cand, target, best, best_d, best_c);
-    };
-    const IndexTable& tbl = state(at).table;
-    for (std::size_t d = 0; d < space_.dims(); ++d) {
-      for (const can::Direction dir :
-           {can::Direction::kNegative, can::Direction::kPositive}) {
-        tbl.for_each_live(d, dir, sim_.now(),
-                          [&](const IndexTable::Entry& e) { consider(e.id); });
-      }
+void IndexSystem::rank_fingers(NodeId at, const can::Point& target,
+                               NodeId& best, double& best_d,
+                               double& best_c) const {
+  const NodeState* st = state_.find(at);
+  if (st == nullptr) return;
+  for (std::size_t d = 0; d < space_.dims(); ++d) {
+    for (const can::Direction dir :
+         {can::Direction::kNegative, can::Direction::kPositive}) {
+      st->table.for_each_live(
+          d, dir, sim_.now(), [&](const IndexTable::Entry& e) {
+            if (e.id == at || !space_.contains(e.id)) return;
+            space_.consider_candidate_toward(e.id, target, best, best_d,
+                                             best_c);
+          });
     }
   }
-  if (!best.valid()) {
-    SOC_LOG(kDebug) << "route stalled at node " << at.value;
-    return;
-  }
-  // Trace query routing hops only — periodic state updates route too and
-  // would swamp the trace with O(nodes/period) events.
-  if (ctx->type == net::MsgType::kDutyQuery) {
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant("route", "hop", sim_.now(), "to", best.value);
-    }
-  }
-  bus_.send(at, best, ctx->type, ctx->bytes,
-            [this, ctx, best, ttl] { route_step(best, ttl - 1, ctx); });
 }
 
 // ---------------------------------------------------------------------------
@@ -414,6 +320,13 @@ void IndexSystem::probe_now(NodeId id, std::size_t dim, can::Direction dir) {
   walk->dim = static_cast<std::uint32_t>(dim);
   walk->dir = dir;
   probe_step(id, walk);
+}
+
+void IndexSystem::probe_all(NodeId id) {
+  for (std::size_t d = 0; d < space_.dims(); ++d) {
+    probe_now(id, d, can::Direction::kNegative);
+    probe_now(id, d, can::Direction::kPositive);
+  }
 }
 
 void IndexSystem::probe_step(NodeId at,

@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "src/can/router.hpp"
 #include "src/can/space.hpp"
 #include "src/common/dense_node_map.hpp"
-#include "src/common/inline_fn.hpp"
 #include "src/index/index_table.hpp"
 #include "src/index/pi_list.hpp"
 #include "src/index/record.hpp"
@@ -67,14 +67,13 @@ struct InscanConfig {
   SpreadingScope spreading_scope = SpreadingScope::kSenderTracks;
   IndexSelectPolicy select_policy = IndexSelectPolicy::kRandomPowerLevel;
   std::size_t route_ttl = 512;              ///< safety cap on greedy hops
-  bool long_link_routing = true;            ///< use index links in routing
   std::size_t state_msg_bytes = 200;
   std::size_t index_msg_bytes = 64;
   std::size_t probe_msg_bytes = 48;
   double periodic_jitter = 0.1;
 };
 
-class IndexSystem {
+class IndexSystem : private can::Fingers {
  public:
   /// Supplies a node's current availability record when it is time to
   /// publish; nullopt suppresses the update (e.g. node busy joining).
@@ -102,10 +101,11 @@ class IndexSystem {
     return std::max(state_.span_ratio(), last_location_.span_ratio());
   }
 
-  /// A partitioned-out member's protocol state, extracted by park_node()
-  /// before the overlay teardown and handed back to restore_node() at heal
-  /// time.  The RNG rides along so the node's draw stream survives the cut.
-  struct ParkedNode {
+  /// One member's protocol state.  A partitioned-out member's is parked
+  /// whole: extracted by park_node() before the overlay teardown and handed
+  /// back to restore_node() at heal time, so the RNG rides along and the
+  /// node's draw stream survives the cut.
+  struct NodeState {
     RecordStore cache;
     PiList pi;
     IndexTable table;
@@ -117,7 +117,7 @@ class IndexSystem {
   /// leave); because the state moves out *first*, the takeover node
   /// re-homes an empty cache — records behind the cut are unreachable from
   /// the majority until the heal.
-  [[nodiscard]] ParkedNode park_node(NodeId id);
+  [[nodiscard]] NodeState park_node(NodeId id);
 
   /// Re-enter `id` (already re-joined to the CanSpace) with its parked
   /// stale state.  Reconciliation rides the existing maintenance paths:
@@ -125,22 +125,17 @@ class IndexSystem {
   /// covers are re-routed to their current duty nodes as ordinary state
   /// updates, the stale index table refreshes via bootstrap probes, and
   /// the periodic processes restart on the parked RNG stream.
-  void restore_node(NodeId id, ParkedNode parked);
+  void restore_node(NodeId id, NodeState parked);
 
   [[nodiscard]] RecordStore& cache(NodeId id);
   [[nodiscard]] PiList& pi_list(NodeId id);
   [[nodiscard]] IndexTable& table(NodeId id);
 
-  using ArriveFn = InlineFn<void(NodeId)>;
-
-  /// Route a message greedily toward `target`, one bus message per hop;
-  /// `on_arrive` runs at the owner of the target point.  With
-  /// long_link_routing the index tables serve as additional fingers
-  /// (INSCAN's O(log² n) routing); otherwise plain CAN neighbors only.
-  /// The route allocates once (shared target/callback context); every
-  /// per-hop forwarding closure stays inside the event-queue slab.
+  /// can::route_greedy toward `target` with the index tables as
+  /// additional fingers (INSCAN's O(log² n) routing); `on_arrive` runs at
+  /// the owner of the target point.
   void route(NodeId from, const can::Point& target, net::MsgType type,
-             std::size_t bytes, ArriveFn on_arrive);
+             std::size_t bytes, can::ArriveFn on_arrive);
 
   /// Publish `id`'s availability record now (also runs periodically).
   void publish_now(NodeId id);
@@ -157,7 +152,9 @@ class IndexSystem {
                                                       can::Direction dir);
 
   /// Ids with materialized protocol state, ascending (fuzz/diagnostics).
-  [[nodiscard]] std::vector<NodeId> tracked_ids() const;
+  [[nodiscard]] std::vector<NodeId> tracked_ids() const {
+    return state_.ids();
+  }
 
   /// Membership-consistency oracle (sim_fuzz): the set of nodes with
   /// materialized NodeState must be exactly the CanSpace member set, and
@@ -196,17 +193,8 @@ class IndexSystem {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
  private:
-  struct NodeState {
-    RecordStore cache;
-    PiList pi;
-    IndexTable table;
-    Rng rng;
-  };
-
-  struct RouteCtx;
-
   /// One directional probe walk's state, shared across its hop closures
-  /// (allocated once per walk, like RouteCtx) so every per-hop closure is
+  /// (allocated once per walk) so every per-hop closure is
   /// {this, walk, next} and stays inside the 48-byte InlineFn buffer — no
   /// heap fallback per probe hop.
   struct ProbeWalk {
@@ -220,14 +208,17 @@ class IndexSystem {
   };
 
   NodeState& state(NodeId id);
+  /// The index tables as routing fingers (can::Fingers).
+  void rank_fingers(NodeId at, const can::Point& target, NodeId& best,
+                    double& best_d, double& best_c) const override;
   void start_periodics(NodeId id);
-  void route_step(NodeId at, std::size_t ttl,
-                  const std::shared_ptr<RouteCtx>& ctx);
   void handle_diffuse(NodeId at, NodeId subject, std::size_t dim,
                       std::size_t ttl);
   /// SID spreading: emit L next-dimension messages from `at` (the sender
   /// picks all same-dimension targets itself).
   void spread_dimension(NodeId at, NodeId subject, std::size_t dim);
+  /// probe_now along every dimension, negative then positive.
+  void probe_all(NodeId id);
   void probe_step(NodeId at, const std::shared_ptr<ProbeWalk>& walk);
 
   sim::Simulator& sim_;

@@ -163,4 +163,33 @@ bool RecordStore::verify_sorted_unique() const {
   return true;
 }
 
+void attach_rehome(can::CanSpace& space, sim::Simulator& sim,
+                   std::function<bool(NodeId)> tracks,
+                   std::function<RecordStore&(NodeId)> cache) {
+  can::CanSpace::Listener listener;
+  listener.on_rehome = [&space, &sim, tracks = std::move(tracks),
+                        cache = std::move(cache)](NodeId from, NodeId to) {
+    if (!tracks(from)) return;
+    const std::vector<Record> moved =
+        space.contains(from) && space.contains(to)
+            ? cache(from).extract_in_zone(space.zone_of(to), sim.now())
+            : cache(from).extract_all();
+    RecordStore& dst = cache(to);
+    for (const Record& r : moved) dst.put(r);
+  };
+  space.set_listener(std::move(listener));
+}
+
+std::vector<Record> reconcile_parked(RecordStore& parked, RecordStore* fresh,
+                                     const can::Zone& zone, SimTime now) {
+  parked.prune(now);
+  const std::vector<Record> keep = parked.extract_in_zone(zone, now);
+  std::vector<Record> reroute = parked.extract_all();
+  for (const Record& r : keep) parked.put(r);
+  if (fresh != nullptr) {
+    for (const Record& r : fresh->extract_all()) parked.put(r);
+  }
+  return reroute;
+}
+
 }  // namespace soc::index

@@ -4,11 +4,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/can/geometry.hpp"
+#include "src/can/space.hpp"
+#include "src/common/dense_node_map.hpp"
 #include "src/common/resource_vector.hpp"
 #include "src/common/types.hpp"
+#include "src/sim/simulator.hpp"
 
 namespace soc::index {
 
@@ -117,5 +122,44 @@ class RecordStore {
   std::vector<Record> slab_;           // stable record storage
   std::vector<std::uint32_t> free_;    // recycled slab slots (LIFO)
 };
+
+// The duty-cache handoff INSCAN and KHDN-CAN share: records follow CAN
+// zone ownership.
+
+/// Install `space`'s rehome listener: when `to` takes over (part of) a
+/// tracked `from`'s zone, the records of `from`'s cache that `to`'s zone
+/// covers move to `cache(to)` — all of them when either side has left.
+/// They are extracted before `cache(to)` runs, which may materialize one.
+void attach_rehome(can::CanSpace& space, sim::Simulator& sim,
+                   std::function<bool(NodeId)> tracks,
+                   std::function<RecordStore&(NodeId)> cache);
+
+/// Reconcile a parked cache when its node re-enters the space with `zone`:
+/// drop expired records, keep in `parked` what `zone` covers, fold in
+/// `fresh` (the cache the rejoin's zone split already filled, in-zone by
+/// construction; may be null) and return the rest, which the caller
+/// re-routes to their current duty nodes.
+[[nodiscard]] std::vector<Record> reconcile_parked(RecordStore& parked,
+                                                   RecordStore* fresh,
+                                                   const can::Zone& zone,
+                                                   SimTime now);
+
+/// Membership oracle (sim_fuzz): `tracked` holds `what` exactly for the
+/// members of `space`.  Empty when consistent, else a description.
+template <typename T>
+std::string check_tracks_members(const DenseNodeMap<T>& tracked,
+                                 const can::CanSpace& space, const char* what) {
+  for (const auto& [id, state] : tracked) {
+    if (!space.contains(id)) {
+      return std::string(what) + " for non-member " + std::to_string(id.value);
+    }
+  }
+  for (const NodeId id : space.member_ids()) {
+    if (!tracked.contains(id)) {
+      return "member " + std::to_string(id.value) + " has no " + what;
+    }
+  }
+  return {};
+}
 
 }  // namespace soc::index

@@ -7,19 +7,9 @@ KhdnSystem::KhdnSystem(sim::Simulator& sim, net::MessageBus& bus,
     : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng) {}
 
 void KhdnSystem::attach_to_space() {
-  can::CanSpace::Listener listener;
-  listener.on_rehome = [this](NodeId from, NodeId to) {
-    if (!caches_.contains(from)) return;
-    std::vector<index::Record> moved;
-    if (space_.contains(from) && space_.contains(to)) {
-      moved = cache(from).extract_in_zone(space_.zone_of(to), sim_.now());
-    } else {
-      moved = cache(from).extract_all();
-    }
-    index::RecordStore& dst = cache(to);
-    for (const auto& r : moved) dst.put(r);
-  };
-  space_.set_listener(std::move(listener));
+  index::attach_rehome(
+      space_, sim_, [this](NodeId id) { return caches_.contains(id); },
+      [this](NodeId id) -> index::RecordStore& { return cache(id); });
 }
 
 index::RecordStore& KhdnSystem::cache(NodeId id) { return caches_[id]; }
@@ -57,18 +47,10 @@ index::RecordStore KhdnSystem::park_node(NodeId id) {
 
 void KhdnSystem::restore_node(NodeId id, index::RecordStore store) {
   SOC_CHECK(space_.contains(id));
-  store.prune(sim_.now());
-  std::vector<index::Record> keep =
-      store.extract_in_zone(space_.zone_of(id), sim_.now());
-  std::vector<index::Record> reroute = store.extract_all();
-  for (const auto& r : keep) store.put(r);
-  // The CanSpace join that preceded this restore split a zone, and the
-  // rehome listener materialized a fresh cache to receive the split
-  // zone's records — fold those in (in-zone by construction).
-  if (index::RecordStore* fresh = caches_.find(id)) {
-    for (const auto& r : fresh->extract_all()) store.put(r);
-    caches_.erase(id);
-  }
+  index::RecordStore* fresh = caches_.find(id);
+  const std::vector<index::Record> reroute =
+      index::reconcile_parked(store, fresh, space_.zone_of(id), sim_.now());
+  if (fresh != nullptr) caches_.erase(id);
   caches_.emplace(id, std::move(store));
   for (const auto& r : reroute) {
     can::route_greedy(space_, bus_, id, r.location,
@@ -79,27 +61,6 @@ void KhdnSystem::restore_node(NodeId id, index::RecordStore store) {
                       });
   }
   start_periodic(id);
-}
-
-std::vector<NodeId> KhdnSystem::tracked_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(caches_.size());
-  for (const auto& [id, store] : caches_) out.push_back(id);
-  return out;
-}
-
-std::string KhdnSystem::check_membership_consistency() const {
-  for (const auto& [id, store] : caches_) {
-    if (!space_.contains(id)) {
-      return "duty cache for non-member " + std::to_string(id.value);
-    }
-  }
-  for (const NodeId id : space_.member_ids()) {
-    if (!caches_.contains(id)) {
-      return "member " + std::to_string(id.value) + " has no duty cache";
-    }
-  }
-  return {};
 }
 
 void KhdnSystem::publish_now(NodeId id) {
@@ -187,7 +148,7 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
     for (const auto& r : qualified) {
       if (p.results.size() >= p.want) break;
       if (!p.seen_providers.insert(r.provider).second) continue;
-      p.results.push_back(KhdnCandidate{r.provider, r.availability});
+      p.results.push_back(Candidate{r.provider, r.availability});
       ++fresh;
     }
     if (fresh > 0) {

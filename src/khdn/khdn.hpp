@@ -36,16 +36,11 @@ struct KhdnConfig {
   double periodic_jitter = 0.1;
 };
 
-struct KhdnCandidate {
-  NodeId provider;
-  ResourceVector availability;
-};
-
 class KhdnSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<index::Record>(NodeId)>;
-  using Callback = std::function<void(std::vector<KhdnCandidate>)>;
+  using Callback = std::function<void(std::vector<Candidate>)>;
 
   KhdnSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
              KhdnConfig config, Rng rng);
@@ -89,11 +84,15 @@ class KhdnSystem {
   [[nodiscard]] index::RecordStore& cache(NodeId id);
 
   /// Ids with a materialized duty cache, ascending (fuzz/diagnostics).
-  [[nodiscard]] std::vector<NodeId> tracked_ids() const;
+  [[nodiscard]] std::vector<NodeId> tracked_ids() const {
+    return caches_.ids();
+  }
 
   /// Membership-consistency oracle (sim_fuzz): duty caches exist exactly
   /// for the CAN member set.  Empty string when consistent.
-  [[nodiscard]] std::string check_membership_consistency() const;
+  [[nodiscard]] std::string check_membership_consistency() const {
+    return index::check_tracks_members(caches_, space_, "duty cache");
+  }
 
   /// Publish `id`'s availability now (also periodic): route to the duty
   /// node, then K-hop negative spread.
@@ -109,7 +108,7 @@ class KhdnSystem {
     NodeId requester;
     ResourceVector demand;
     std::size_t want;
-    std::vector<KhdnCandidate> results;
+    std::vector<Candidate> results;
     std::unordered_set<NodeId> seen_providers;
     std::unordered_set<NodeId> visited;
     std::size_t outstanding = 0;

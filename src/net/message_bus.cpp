@@ -43,10 +43,10 @@ void TrafficStats::on_send(NodeId /*from*/, MsgType type, std::size_t bytes) {
 }
 
 void TrafficStats::on_synthetic_send(NodeId /*from*/, MsgType type,
-                                     std::size_t bytes) {
-  ++by_type_[static_cast<std::size_t>(type)];
-  ++synthetic_[static_cast<std::size_t>(type)];
-  bytes_ += bytes;
+                                     std::size_t bytes, std::size_t count) {
+  by_type_[static_cast<std::size_t>(type)] += count;
+  synthetic_[static_cast<std::size_t>(type)] += count;
+  bytes_ += bytes * count;
 }
 
 void TrafficStats::on_delivered(MsgType type) {

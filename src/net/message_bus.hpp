@@ -53,12 +53,13 @@ class TrafficStats {
   /// A cross-partition message reached its would-be arrival time: resolved
   /// as partitioned, never delivered.
   void on_partitioned(MsgType type);
-  /// Sent-side-only accounting charge with no simulated delivery (the
-  /// protocols bill join/leave maintenance traffic this way).  Counts
-  /// toward sent()/per_node_cost like a real send, but is tracked
-  /// separately so the conservation law stays exact:
+  /// Sent-side-only accounting charge for `count` messages of `bytes` each
+  /// with no simulated delivery (the protocols bill join/leave maintenance
+  /// traffic this way).  Counts toward sent()/per_node_cost like real
+  /// sends, but is tracked separately so the conservation law stays exact:
   ///   sent == delivered + lost + partitioned + in_flight + synthetic.
-  void on_synthetic_send(NodeId from, MsgType type, std::size_t bytes);
+  void on_synthetic_send(NodeId from, MsgType type, std::size_t bytes,
+                         std::size_t count);
 
   [[nodiscard]] std::uint64_t sent(MsgType type) const;
   [[nodiscard]] std::uint64_t delivered(MsgType type) const;
@@ -161,9 +162,6 @@ class MessageBus {
   /// asks.  The profiler must outlive the bus or be detached first.
   void set_time_profiler(obs::TimeProfiler* profiler) {
     profiler_ = profiler;
-  }
-  [[nodiscard]] const obs::TimeProfiler* time_profiler() const {
-    return profiler_;
   }
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/logging.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc::query {

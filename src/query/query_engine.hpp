@@ -24,12 +24,6 @@
 
 namespace soc::query {
 
-/// A discovered execution candidate (possibly stale by record TTL).
-struct Candidate {
-  NodeId provider;
-  ResourceVector availability;
-};
-
 struct QueryConfig {
   std::size_t expected_results = 1;  ///< δ: first-k termination
   std::size_t jump_list_size = 4;    ///< indexes sampled into j (Alg. 4)

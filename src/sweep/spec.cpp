@@ -126,8 +126,9 @@ std::optional<SweepSpec> SweepSpec::from_args(const CliArgs& args,
       return std::nullopt;
     }
   }
-  spec.repeats = static_cast<std::size_t>(
-      args.get_int("repeats", static_cast<std::int64_t>(defaults.repeats)));
+  const auto repeats = args.get_count("repeats", defaults.repeats);
+  if (!repeats.has_value()) return std::nullopt;
+  spec.repeats = *repeats;
   spec.base_seed = static_cast<std::uint64_t>(args.get_int(
       "base-seed", static_cast<std::int64_t>(defaults.base_seed)));
   spec.hours = args.get_double("hours", defaults.hours);

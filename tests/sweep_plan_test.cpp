@@ -3,6 +3,7 @@
 // manifest it writes parses, run every worker command it prints, merge,
 // and require the merged report to be byte-identical to `--mode=local`.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -87,6 +88,35 @@ TEST(SweepPlan, PrintedWorkerCommandsMergeLikeLocalMode) {
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_EQ(*a, *b) << "plan + workers + merge must equal --mode=local";
   fs::remove_all(root);
+}
+
+// Count flags parse strictly: a negative or partly numeric value is a
+// usage error (exit 2, a message naming the flag), never a wrapped count,
+// an uncaught exception or a silently truncated number.  Every case fails
+// while parsing, before any directory is made or worker started.
+TEST(SweepPlan, RejectsMalformedCountFlags) {
+  const std::string dir = (fs::temp_directory_path() /
+                           ("soc_sweepflags_" + std::to_string(::getpid())))
+                              .string();
+  const std::string bin = SOC_SWEEP_BIN;
+  const char* bad[] = {
+      "--mode=plan --repeats=-1",  "--mode=plan --repeats=2x",
+      "--mode=plan --shards=-1",   "--mode=plan --shards=2x",
+      "--mode=plan --shards=+2",   "--mode=plan --shards=' 2'",
+      "--mode=plan --workers=-1",  "--mode=worker --shards=2 --shard=-1",
+      "--mode=worker --shards=2 --shard=1x",
+      "--mode=plan --shards=99999999999999999999",
+  };
+  for (const char* flags : bad) {
+    int rc = 0;
+    const std::string out =
+        run(bin + " --dir=" + dir + kSpec + " " + flags + " 2>&1", &rc);
+    ASSERT_TRUE(WIFEXITED(rc)) << flags << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << flags << "\n" << out;
+    EXPECT_NE(out.find("is not a non-negative integer"), std::string::npos)
+        << flags << "\n" << out;
+  }
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 }  // namespace

@@ -56,6 +56,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -124,8 +125,14 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string mode = args.get("mode", "orchestrate");
   const std::string dir = args.get("dir", "sweep-out");
-  const auto shards_total =
-      static_cast<std::size_t>(args.get_int("shards", 8));
+  const auto shards_flag = args.get_count("shards", 8);
+  const auto shard_id = args.get_count("shard", SIZE_MAX);  // worker mode
+  const auto workers = args.get_count("workers", 2);
+  if (!shards_flag.has_value() || !shard_id.has_value() ||
+      !workers.has_value()) {
+    return 2;
+  }
+  const std::size_t shards_total = *shards_flag;
   if (shards_total == 0) {
     std::fprintf(stderr, "sweep_run: --shards must be >= 1\n");
     return 2;
@@ -175,14 +182,13 @@ int main(int argc, char** argv) {
   obs::Tracer tracer;
 
   if (mode == "worker") {
-    const std::int64_t shard_id = args.get_int("shard", -1);
-    if (shard_id < 0 || static_cast<std::size_t>(shard_id) >= shards_total) {
+    if (*shard_id >= shards_total) {
       std::fprintf(stderr, "sweep_run: worker mode needs --shard in [0,%zu)\n",
                    shards_total);
       return 2;
     }
     const auto shards = sweep::partition(spec, shards_total);
-    const sweep::Shard& shard = shards[static_cast<std::size_t>(shard_id)];
+    const sweep::Shard& shard = shards[*shard_id];
     if (!trace_path.empty()) obs::install_tracer(&tracer);
     const sweep::ShardResult result =
         sweep::run_shard(shard, spec.fingerprint(), shards_total);
@@ -201,9 +207,8 @@ int main(int argc, char** argv) {
                    sweep::shard_path(dir, shard.id).c_str());
       return 1;
     }
-    std::printf("shard %lld: %zu experiment(s) -> %s\n",
-                static_cast<long long>(shard_id), result.cells.size(),
-                sweep::shard_path(dir, shard.id).c_str());
+    std::printf("shard %zu: %zu experiment(s) -> %s\n", *shard_id,
+                result.cells.size(), sweep::shard_path(dir, shard.id).c_str());
     return 0;
   }
 
@@ -256,7 +261,7 @@ int main(int argc, char** argv) {
     }
     sweep::OrchestrateOptions options;
     options.dir = dir;
-    options.workers = static_cast<std::size_t>(args.get_int("workers", 2));
+    options.workers = *workers;
     if (mode == "orchestrate") options.worker_binary = self_exe(argv[0]);
     const auto outcome = sweep::orchestrate(spec, shards_total, options);
     if (!trace_path.empty()) {
