@@ -16,10 +16,10 @@
 // raw metric bits) — the determinism half of the scale acceptance
 // criterion.  The 1M-node invocation is in README "Scaling"; the ctest
 // `scale` label runs the 100k smoke (see CMakeLists.txt).
-#include <bit>
 #include <cinttypes>
 
 #include "bench/bench_common.hpp"
+#include "src/common/fnv.hpp"
 
 using namespace soc;
 using namespace soc::bench;
@@ -29,38 +29,29 @@ namespace {
 /// FNV-1a over the deterministic results fields (counters + raw double
 /// bits), mirroring tests/golden_trajectory_test.cpp's fingerprint shape.
 std::uint64_t results_fingerprint(const core::ExperimentResults& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto add = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  const auto add_double = [&add](double d) {
-    add(std::bit_cast<std::uint64_t>(d));
-  };
-  add(r.generated);
-  add(r.finished);
-  add(r.failed);
-  add(r.total_messages);
-  add(r.messages_delivered);
-  add(r.messages_lost);
-  add(r.messages_partitioned);
-  add(r.events_executed);
-  add_double(r.t_ratio);
-  add_double(r.f_ratio);
-  add_double(r.fairness);
-  add_double(r.avg_query_delay_s);
-  add_double(r.slot_span_ratio);
+  Fnv64 h;
+  h.add(r.generated);
+  h.add(r.finished);
+  h.add(r.failed);
+  h.add(r.total_messages);
+  h.add(r.messages_delivered);
+  h.add(r.messages_lost);
+  h.add(r.messages_partitioned);
+  h.add(r.events_executed);
+  h.add_double(r.t_ratio);
+  h.add_double(r.f_ratio);
+  h.add_double(r.fairness);
+  h.add_double(r.avg_query_delay_s);
+  h.add_double(r.slot_span_ratio);
   for (const auto& s : r.series) {
-    add(s.generated);
-    add(s.finished);
-    add(s.failed);
-    add_double(s.t_ratio);
-    add_double(s.f_ratio);
-    add_double(s.fairness);
+    h.add(s.generated);
+    h.add(s.finished);
+    h.add(s.failed);
+    h.add_double(s.t_ratio);
+    h.add_double(s.f_ratio);
+    h.add_double(s.fairness);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace

@@ -96,23 +96,6 @@ std::pair<Zone, Zone> Zone::split(std::size_t d) const {
   return {Zone(lo_, lo_hi), Zone(hi_lo, hi_)};
 }
 
-std::optional<Zone> Zone::merged_with(const Zone& o) const {
-  SOC_DCHECK(o.dims() == dims());
-  std::optional<std::size_t> merge_dim;
-  for (std::size_t i = 0; i < dims(); ++i) {
-    if (lo_[i] == o.lo_[i] && hi_[i] == o.hi_[i]) continue;
-    if (!abuts_dim(o, i)) return std::nullopt;
-    if (merge_dim.has_value()) return std::nullopt;
-    merge_dim = i;
-  }
-  if (!merge_dim.has_value()) return std::nullopt;
-  const std::size_t d = *merge_dim;
-  Point lo = lo_, hi = hi_;
-  lo[d] = std::min(lo_[d], o.lo_[d]);
-  hi[d] = std::max(hi_[d], o.hi_[d]);
-  return Zone(lo, hi);
-}
-
 double Zone::distance_sq(const Point& p) const {
   SOC_DCHECK(p.dims() == dims());
   double sum = 0.0;
@@ -123,16 +106,6 @@ double Zone::distance_sq(const Point& p) const {
     } else if (p[i] > hi_[i]) {
       g = p[i] - hi_[i];
     }
-    sum += g * g;
-  }
-  return sum;
-}
-
-double Zone::center_distance_sq(const Point& p) const {
-  SOC_DCHECK(p.dims() == dims());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < dims(); ++i) {
-    const double g = p[i] - 0.5 * (lo_[i] + hi_[i]);
     sum += g * g;
   }
   return sum;

@@ -63,9 +63,8 @@ class Point {
 };
 
 /// Squared Euclidean distance between two points.  With `a` a cached zone
-/// center this is exactly Zone::center_distance_sq: the cache stores
-/// 0.5 * (lo + hi) per axis — the same expression — so the subtraction and
-/// sum are bit-identical to the uncached form.
+/// center (0.5 * (lo + hi) per axis) this is the distance from the zone's
+/// center to `b`, routing's plateau tie-breaker.
 [[nodiscard]] inline double point_distance_sq(const Point& a, const Point& b) {
   SOC_DCHECK(a.dims() == b.dims());
   double sum = 0.0;
@@ -119,16 +118,8 @@ class Zone {
   /// Split in half along `d`; returns {lower, upper}.
   [[nodiscard]] std::pair<Zone, Zone> split(std::size_t d) const;
 
-  /// If the two zones are mergeable (identical on all dims but one, where
-  /// they abut), return the merged box.
-  [[nodiscard]] std::optional<Zone> merged_with(const Zone& o) const;
-
   /// Squared Euclidean distance from p to the closest point of the box.
   [[nodiscard]] double distance_sq(const Point& p) const;
-
-  /// Squared Euclidean distance from p to the box center — routing's
-  /// plateau tie-breaker.
-  [[nodiscard]] double center_distance_sq(const Point& p) const;
 
   /// Does the box intersect the query range [lo_q, 1]^d, i.e. does it
   /// contain any point dominating lo_q?  Used by INSCAN-RQ.

@@ -31,7 +31,8 @@ void step(const std::shared_ptr<RouteState>& st, const Fingers* fingers,
     return;
   }
   if (ttl == 0) {
-    SOC_LOG(kDebug) << "route TTL exhausted at node " << at.value;
+    SOC_LOG(kDebug) << "[t=" << st->bus->simulator().now()
+                    << "us] route TTL exhausted at node " << at.value;
     return;
   }
 
@@ -50,7 +51,8 @@ void step(const std::shared_ptr<RouteState>& st, const Fingers* fingers,
     fingers->rank_fingers(at, st->target, best, best_d, best_c);
   }
   if (!best.valid()) {
-    SOC_LOG(kDebug) << "route stalled at node " << at.value;
+    SOC_LOG(kDebug) << "[t=" << st->bus->simulator().now()
+                    << "us] route stalled at node " << at.value;
     return;
   }
   // Trace query routing hops only — periodic state updates route too and

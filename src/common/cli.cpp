@@ -55,10 +55,6 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
-bool CliArgs::has(const std::string& name) const {
-  return values_.contains(name);
-}
-
 std::string CliArgs::get(const std::string& name,
                          const std::string& fallback) const {
   const auto it = values_.find(name);

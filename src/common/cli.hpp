@@ -14,7 +14,6 @@ class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,

@@ -16,7 +16,7 @@
 
 namespace soc {
 
-/// SplitMix64: used for seeding and for hashing stream names.
+/// SplitMix64: used for seeding and for integer-keyed forks.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
@@ -62,8 +62,6 @@ class Rng {
   /// Exponential with the given mean (inter-arrival times of the Poisson
   /// task generation process use mean 3000 s).
   double exponential(double mean);
-  /// Standard normal via Box–Muller (deterministic, no cached spare).
-  double normal(double mean, double stddev);
 
   /// Pick a uniformly random element index from a non-empty container size.
   std::size_t pick_index(std::size_t size);

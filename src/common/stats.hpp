@@ -20,9 +20,6 @@ class RunningStats {
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Merge another accumulator into this one (parallel sweeps).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -59,29 +56,5 @@ double student_t95(std::size_t dof);
 /// Returns 0 for n < 2 (a single repeat has no interval) — the sweep
 /// merger's per-config CI across repeat seeds.
 double mean_ci95_halfwidth(std::size_t n, double stddev);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; values outside
-/// clamp into the edge buckets (-inf lands in bucket 0, +inf in the last).
-/// NaN policy: NaN belongs to no bucket, so it is counted separately
-/// (nan_count()) and excluded from total() — silently filing it in an edge
-/// bucket would fabricate a data point.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bucket) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t nan_count() const { return nan_; }
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nan_ = 0;
-};
 
 }  // namespace soc

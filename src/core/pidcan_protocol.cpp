@@ -16,18 +16,6 @@ PidCanProtocol::PidCanProtocol(sim::Simulator& sim, net::MessageBus& bus,
       index_(sim, bus, space_, options.inscan, rng_.fork("index-system")),
       engine_(index_, options.query), bus_(bus) {
   index_.attach_to_space();
-  if (options_.aggregate_cmax) {
-    aggregator_ = std::make_unique<gossip::MaxAggregator>(
-        sim, bus, options_.aggregation, rng_.fork("cmax-aggregation"));
-    // Gossip partners: a uniformly random adjacent CAN neighbor.
-    aggregator_->set_peer_sampler(
-        [this](NodeId id) -> std::optional<NodeId> {
-          if (!space_.contains(id)) return std::nullopt;
-          const auto& ns = space_.neighbors_of(id);
-          if (ns.empty()) return std::nullopt;
-          return ns[rng_.pick_index(ns.size())];
-        });
-  }
 }
 
 std::string PidCanProtocol::name() const {
@@ -49,7 +37,6 @@ can::Point PidCanProtocol::locate(const ResourceVector& v, Rng& rng) const {
 }
 
 void PidCanProtocol::set_availability_source(AvailabilityFn fn) {
-  raw_availability_ = fn;
   index_.set_availability_provider(
       [this, fn = std::move(fn)](NodeId id) -> std::optional<index::Record> {
         const auto avail = fn(id);
@@ -67,22 +54,10 @@ void PidCanProtocol::set_availability_source(AvailabilityFn fn) {
 void PidCanProtocol::on_join(NodeId id) {
   space_.join(id);
   index_.add_node(id);
-  join_aggregator(id);
   bill_join(id);
   // Fresh members publish immediately so they become discoverable before
   // the first periodic update.
   index_.publish_now(id);
-}
-
-void PidCanProtocol::join_aggregator(NodeId id) {
-  if (!aggregator_) return;
-  // The node's contribution to c_max is its capacity; at join time its
-  // availability equals it (no tasks admitted yet).
-  ResourceVector local = cmax_;
-  if (raw_availability_) {
-    if (const auto a = raw_availability_(id); a.has_value()) local = *a;
-  }
-  aggregator_->add_node(id, local);
 }
 
 void PidCanProtocol::bill_join(NodeId id) {
@@ -94,7 +69,6 @@ void PidCanProtocol::bill_join(NodeId id) {
 
 void PidCanProtocol::leave_overlay(NodeId id) {
   const std::size_t msgs = space_.neighbors_of(id).size();
-  if (aggregator_) aggregator_->remove_node(id);
   index_.remove_node(id);
   space_.leave(id);
   bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64, msgs);
@@ -126,7 +100,6 @@ void PidCanProtocol::on_rejoin(NodeId id) {
   index::IndexSystem::NodeState parked = std::move(it->second);
   parked_.erase(it);
   space_.join(id);
-  join_aggregator(id);
   index_.restore_node(id, std::move(parked));
   bill_join(id);  // a rejoin re-splits a zone like a join
   index_.publish_now(id);
@@ -162,19 +135,10 @@ std::size_t PidCanProtocol::discoverable(const ResourceVector& demand,
   return n;
 }
 
-ResourceVector PidCanProtocol::cmax_bound_for(NodeId requester) const {
-  if (aggregator_ && aggregator_->tracks(requester)) {
-    return aggregator_->estimate(requester);
-  }
-  return cmax_;
-}
-
-ResourceVector PidCanProtocol::skew_demand(const ResourceVector& e,
-                                           NodeId requester) {
-  const ResourceVector bound = cmax_bound_for(requester);
+ResourceVector PidCanProtocol::skew_demand(const ResourceVector& e) {
   ResourceVector out(e.size());
   for (std::size_t i = 0; i < e.size(); ++i) {
-    const double hi = std::max(e[i], bound[i]);
+    const double hi = std::max(e[i], cmax_[i]);
     out[i] = e[i] + rng_.uniform() * (hi - e[i]);
   }
   return out;
@@ -191,7 +155,7 @@ void PidCanProtocol::query(NodeId requester, const ResourceVector& demand,
   // SoS: first query with the skewed vector e' (Eq. 3); if that cannot
   // fulfil the expectation, restore the original e and search again —
   // "twice resource query overhead" as the paper notes.
-  const ResourceVector skewed = skew_demand(demand, requester);
+  const ResourceVector skewed = skew_demand(demand);
   engine_.submit_k(
       requester, skewed, locate(skewed, rng_), want,
       [this, requester, demand, want,

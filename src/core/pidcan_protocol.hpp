@@ -9,10 +9,8 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 #include "src/core/protocol.hpp"
-#include "src/gossip/aggregation.hpp"
 #include "src/index/inscan.hpp"
 #include "src/query/query_engine.hpp"
 
@@ -23,11 +21,6 @@ struct PidCanOptions {
   query::QueryConfig query;
   bool slack_on_submission = false;  ///< SoS: skew e → e' per Eq. (3)
   bool virtual_dimension = false;    ///< +1 CAN dimension to spread load
-  /// Estimate c_max by gossip aggregation over CAN neighbors ([23]) instead
-  /// of assuming it known — the exact mechanism the paper points at for
-  /// obtaining the SoS upper bound.
-  bool aggregate_cmax = false;
-  gossip::AggregationConfig aggregation;
   std::size_t maintenance_msgs_per_join = 0;  ///< set from topology scale
 };
 
@@ -54,16 +47,11 @@ class PidCanProtocol final : public DiscoveryProtocol {
                                          SimTime now) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double max_slot_span_ratio() const override {
-    double r = std::max(space_.span_ratio(), index_.span_ratio());
-    if (aggregator_ != nullptr) r = std::max(r, aggregator_->span_ratio());
-    return r;
+    return std::max(space_.span_ratio(), index_.span_ratio());
   }
   void mem_breakdown(obs::MemBreakdown& out) const override {
     out.add("can.space", space_.mem_bytes());
     out.add("index.state", index_.mem_bytes());
-    if (aggregator_ != nullptr) {
-      out.add("gossip.aggregation", aggregator_->mem_bytes());
-    }
     std::size_t parked = 0;
     for (const auto& [id, p] : parked_) {
       (void)id;
@@ -80,24 +68,13 @@ class PidCanProtocol final : public DiscoveryProtocol {
   [[nodiscard]] index::IndexSystem& index() { return index_; }
   [[nodiscard]] query::QueryEngine& engine() { return engine_; }
   [[nodiscard]] const ResourceVector& cmax() const { return cmax_; }
-  /// The gossip aggregator when options.aggregate_cmax is on, else null.
-  [[nodiscard]] gossip::MaxAggregator* aggregator() {
-    return aggregator_.get();
-  }
-  /// The c_max bound a requester would use for SoS: the aggregated
-  /// estimate when enabled, else the configured global constant.
-  [[nodiscard]] ResourceVector cmax_bound_for(NodeId requester) const;
 
  private:
   /// Eq. (3): a componentwise-random vector with e ≼ e' ≼ c_max.
-  [[nodiscard]] ResourceVector skew_demand(const ResourceVector& e,
-                                           NodeId requester);
-  /// Enter the c_max aggregation (when on) with the node's availability.
-  void join_aggregator(NodeId id);
+  [[nodiscard]] ResourceVector skew_demand(const ResourceVector& e);
   /// Bill a (re)join's overlay maintenance traffic.
   void bill_join(NodeId id);
-  /// Shared overlay teardown (aggregator, index, CAN zone, maintenance
-  /// billing) behind on_leave and on_partition_out.
+  /// Shared overlay teardown (index, CAN zone, maintenance billing) behind on_leave and on_partition_out.
   void leave_overlay(NodeId id);
 
   ResourceVector cmax_;
@@ -108,8 +85,6 @@ class PidCanProtocol final : public DiscoveryProtocol {
   index::IndexSystem index_;
   query::QueryEngine engine_;
   net::MessageBus& bus_;
-  AvailabilityFn raw_availability_;
-  std::unique_ptr<gossip::MaxAggregator> aggregator_;
   /// Partitioned-out nodes' INSCAN state, keyed ascending, awaiting rejoin.
   std::map<NodeId, index::IndexSystem::NodeState> parked_;
 };

@@ -17,7 +17,6 @@
 #include "src/core/newscast_protocol.hpp"
 #include "src/core/pidcan_protocol.hpp"
 #include "src/core/protocol.hpp"
-#include "src/gossip/aggregation.hpp"  // gossip max-aggregation ([23])
 #include "src/gossip/newscast.hpp"     // Newscast baseline
 #include "src/index/inscan.hpp"        // INSCAN + index diffusion
 #include "src/khdn/khdn.hpp"           // KHDN-CAN baseline

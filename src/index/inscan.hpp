@@ -44,7 +44,8 @@ enum class DiffusionMethod : std::uint8_t {
 /// implies receivers open the next dimension like the hopping method.
 /// The strict reading reproduces the paper's SID-vs-HID ranking and is the
 /// default; the cascade reading is available for the interpretation
-/// ablation (bench_ablation_spreading).
+/// ablation (the `ablation-spreading` sweep preset, variant
+/// "spread-cascade").
 enum class SpreadingScope : std::uint8_t {
   kSenderTracks,  // strict Fig. 3(a): d·L direct messages, receivers store
   kCascade,       // ω-based: receivers spawn the next dimension themselves

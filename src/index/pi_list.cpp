@@ -42,11 +42,6 @@ void PiList::add(NodeId id, SimTime now) {
   entries_.insert(it, Entry{id, now});
 }
 
-void PiList::erase(NodeId id) {
-  const auto it = lower_bound(id);
-  if (it != entries_.end() && it->id == id) entries_.erase(it);
-}
-
 std::size_t PiList::live_count(SimTime now) const {
   std::size_t n = 0;
   for (const Entry& e : entries_) n += (now - e.heard_at) < ttl_;
@@ -70,11 +65,6 @@ std::vector<NodeId> PiList::sample(std::size_t k, SimTime now,
   rng.shuffle(live.begin(), live.end());
   if (live.size() > k) live.resize(k);
   return live;
-}
-
-void PiList::prune(SimTime now) {
-  std::erase_if(entries_,
-                [&](const Entry& e) { return (now - e.heard_at) >= ttl_; });
 }
 
 }  // namespace soc::index

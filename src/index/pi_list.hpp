@@ -31,7 +31,6 @@ class PiList {
   /// existing entry).  Evicts the stalest entry when full.
   void add(NodeId id, SimTime now);
 
-  void erase(NodeId id);
   void clear() { entries_.clear(); }
 
   [[nodiscard]] std::size_t live_count(SimTime now) const;
@@ -40,8 +39,6 @@ class PiList {
   /// Up to `k` distinct random live entries (Alg. 4 line 1).
   [[nodiscard]] std::vector<NodeId> sample(std::size_t k, SimTime now,
                                            Rng& rng) const;
-
-  void prune(SimTime now);
 
   /// Bytes claimed by the entry array (attribution-profiler hook).
   [[nodiscard]] std::size_t mem_bytes() const {

@@ -119,16 +119,6 @@ double TrafficStats::per_node_cost(std::size_t node_count) const {
   return static_cast<double>(total_sent()) / static_cast<double>(node_count);
 }
 
-void TrafficStats::reset() {
-  by_type_.fill(0);
-  delivered_.fill(0);
-  lost_.fill(0);
-  partitioned_.fill(0);
-  in_flight_.fill(0);
-  synthetic_.fill(0);
-  bytes_ = 0;
-}
-
 MessageBus::MessageBus(sim::Simulator& sim, const Topology& topo)
     : sim_(sim), topo_(topo), jitter_rng_(sim.rng().fork("message-bus")) {}
 

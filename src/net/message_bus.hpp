@@ -83,8 +83,6 @@ class TrafficStats {
   /// node population.
   [[nodiscard]] double per_node_cost(std::size_t node_count) const;
 
-  void reset();
-
  private:
   static constexpr std::size_t kTypes =
       static_cast<std::size_t>(MsgType::kCount);

@@ -34,10 +34,6 @@ void Registry::set(std::string_view name, double value, bool deterministic) {
   e.fn = nullptr;
 }
 
-void Registry::add(std::string_view name, double delta, bool deterministic) {
-  entry(name, deterministic).value += delta;
-}
-
 void Registry::gauge(std::string_view name, std::function<double()> fn,
                      bool deterministic) {
   entry(name, deterministic).fn = std::move(fn);

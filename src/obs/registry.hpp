@@ -45,9 +45,6 @@ class Registry {
   /// Set a gauge to `value` (registers the name on first use).
   void set(std::string_view name, double value, bool deterministic = true);
 
-  /// Add `delta` to a counter (registers at 0 on first use).
-  void add(std::string_view name, double delta, bool deterministic = true);
-
   /// Register a callback evaluated at snapshot time — for values owned
   /// by a subsystem (bus counters, slab high-water marks) that should
   /// not be copied on every update.  The callback must outlive the

@@ -54,17 +54,6 @@ bool PsmScheduler::admit(const TaskSpec& task) {
   return true;
 }
 
-std::optional<TaskSpec> PsmScheduler::abort(TaskId id) {
-  const auto it = running_.find(id);
-  if (it == running_.end()) return std::nullopt;
-  integrate_progress();
-  TaskSpec spec = it->second.spec;
-  load_ -= spec.expectation;
-  running_.erase(it);
-  reschedule();
-  return spec;
-}
-
 std::optional<std::array<double, kRateDims>> PsmScheduler::remaining_of(
     TaskId id) {
   const auto it = running_.find(id);
@@ -80,16 +69,6 @@ std::vector<PsmScheduler::Progress> PsmScheduler::abort_all_with_progress() {
   for (const auto& [_, r] : running_) {
     out.push_back(Progress{r.spec, r.remaining});
   }
-  running_.clear();
-  load_ = ResourceVector(kDims);
-  reschedule();
-  return out;
-}
-
-std::vector<TaskSpec> PsmScheduler::abort_all() {
-  std::vector<TaskSpec> out;
-  out.reserve(running_.size());
-  for (const auto& [_, r] : running_) out.push_back(r.spec);
   running_.clear();
   load_ = ResourceVector(kDims);
   reschedule();

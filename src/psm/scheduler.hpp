@@ -75,13 +75,6 @@ class PsmScheduler {
   /// Inequality (2) would be violated.
   bool admit(const TaskSpec& task);
 
-  /// Abort a running task (e.g. the host churns out); no callback fires.
-  /// Returns the spec so the caller can resubmit/fail it, or nullopt.
-  std::optional<TaskSpec> abort(TaskId id);
-
-  /// Abort everything (host departure).  Returns the aborted specs.
-  std::vector<TaskSpec> abort_all();
-
   /// Remaining workload of a running task, progress integrated up to now —
   /// the snapshot the checkpointing extension persists.  Nullopt when the
   /// task is not running here.

@@ -22,9 +22,7 @@ NodeId take_random(std::vector<NodeId>& v, Rng& rng) {
 
 QueryEngine::QueryEngine(index::IndexSystem& index, QueryConfig config)
     : index_(index), config_(config),
-      rng_(index.simulator().rng().fork("query-engine")) {
-  SOC_CHECK(config_.expected_results >= 1);
-}
+      rng_(index.simulator().rng().fork("query-engine")) {}
 
 std::uint64_t QueryEngine::begin_query(NodeId requester,
                                        const ResourceVector& demand,
@@ -67,12 +65,6 @@ void QueryEngine::finish(std::uint64_t qid) {
     t->end("query", "query", qid, index_.simulator().now());
   }
   if (p.cb) p.cb(std::move(p.results));
-}
-
-void QueryEngine::submit(NodeId requester, const ResourceVector& demand,
-                         const can::Point& target, Callback cb) {
-  submit_k(requester, demand, target, config_.expected_results,
-           std::move(cb));
 }
 
 void QueryEngine::submit_k(NodeId requester, const ResourceVector& demand,

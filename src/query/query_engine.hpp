@@ -25,9 +25,8 @@
 namespace soc::query {
 
 struct QueryConfig {
-  std::size_t expected_results = 1;  ///< δ: first-k termination
-  std::size_t jump_list_size = 4;    ///< indexes sampled into j (Alg. 4)
-  SimTime timeout = seconds(90);     ///< requester-side deadline
+  std::size_t jump_list_size = 4;  ///< indexes sampled into j (Alg. 4)
+  SimTime timeout = seconds(90);   ///< requester-side deadline
   std::size_t query_msg_bytes = 128;
   std::size_t notice_msg_bytes = 160;
 };
@@ -48,14 +47,10 @@ class QueryEngine {
 
   QueryEngine(index::IndexSystem& index, QueryConfig config);
 
-  /// Submit the PID-CAN query.  `target` is the CAN point of the demand
-  /// (normalized expectation vector; the VD variant appends its virtual
-  /// coordinate).  The callback fires exactly once, possibly with fewer
-  /// than δ (even zero) candidates.
-  void submit(NodeId requester, const ResourceVector& demand,
-              const can::Point& target, Callback cb);
-
-  /// Submit with an explicit δ override (ablation of first-k).
+  /// Submit the PID-CAN query for `want` (δ) candidates.  `target` is the
+  /// CAN point of the demand (normalized expectation vector; the VD variant
+  /// appends its virtual coordinate).  The callback fires exactly once,
+  /// possibly with fewer than δ (even zero) candidates.
   void submit_k(NodeId requester, const ResourceVector& demand,
                 const can::Point& target, std::size_t want, Callback cb);
 

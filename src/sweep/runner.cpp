@@ -247,18 +247,6 @@ bool shard_complete(const std::string& dir, const Shard& shard,
          shard_result_valid(*result, shard, spec_fingerprint, shards_total);
 }
 
-std::vector<std::size_t> pending_shards(const std::string& dir,
-                                        const std::vector<Shard>& shards,
-                                        std::uint64_t spec_fingerprint) {
-  std::vector<std::size_t> pending;
-  for (const Shard& shard : shards) {
-    if (!shard_complete(dir, shard, spec_fingerprint, shards.size())) {
-      pending.push_back(shard.id);
-    }
-  }
-  return pending;
-}
-
 namespace {
 
 /// Spawn `worker_binary --mode=worker --dir=D --shards=N --shard=K <spec>`.

@@ -99,11 +99,6 @@ bool write_shard_result(const std::string& dir, const ShardResult& result);
                                   std::uint64_t spec_fingerprint,
                                   std::size_t shards_total);
 
-/// Shard ids still lacking a valid result file — the resume set.
-[[nodiscard]] std::vector<std::size_t> pending_shards(
-    const std::string& dir, const std::vector<Shard>& shards,
-    std::uint64_t spec_fingerprint);
-
 struct OrchestrateOptions {
   std::string dir;            ///< result/manifest directory (must exist)
   std::size_t workers = 2;    ///< concurrent worker processes

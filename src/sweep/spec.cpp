@@ -11,15 +11,6 @@
 
 namespace soc::sweep {
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 namespace {
 
 /// splitmix64 finalizer: decorrelates the structured fnv/base-seed bits so
@@ -44,9 +35,9 @@ namespace {
 
 std::string join_strings(const std::vector<std::string>& parts) {
   std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += ',';
-    out += p;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += ',';
+    out += parts[i];
   }
   return out;
 }
@@ -181,37 +172,16 @@ SweepSpec SweepSpec::normalized() const {
 
 std::string SweepSpec::describe() const {
   const SweepSpec n = normalized();
-  std::string out = "sweep{p=[";
-  for (std::size_t i = 0; i < n.protocols.size(); ++i) {
-    out += (i ? "," : "") + core::protocol_name(n.protocols[i]);
-  }
-  out += "] l=[";
-  for (std::size_t i = 0; i < n.lambdas.size(); ++i) {
-    out += fmt("%s%.6g", i ? "," : "", n.lambdas[i]);
-  }
-  out += "] n=[";
-  for (std::size_t i = 0; i < n.node_counts.size(); ++i) {
-    out += fmt("%s%zu", i ? "," : "", n.node_counts[i]);
-  }
-  out += "] sc=[";
-  for (std::size_t i = 0; i < n.scenarios.size(); ++i) {
-    out += (i ? "," : "") + n.scenarios[i];
-  }
-  out += "] c=[";
-  for (std::size_t i = 0; i < n.churns.size(); ++i) {
-    out += fmt("%s%.6g", i ? "," : "", n.churns[i]);
-  }
-  out += "] v=[";
-  for (std::size_t i = 0; i < n.variants.size(); ++i) {
-    out += (i ? "," : "") + n.variants[i];
-  }
+  std::string out = "sweep{p=[" + join_strings(protocol_names(n.protocols)) +
+                    "] l=[" + join_doubles(n.lambdas) + "] n=[" +
+                    join_sizes(n.node_counts) + "] sc=[" +
+                    join_strings(n.scenarios) + "] c=[" +
+                    join_doubles(n.churns) + "] v=[" +
+                    join_strings(n.variants);
   // The plain-"off" default is elided so pre-serving specs keep their
   // describe() string — and hence their fingerprint and cell keys.
   if (n.servings != std::vector<std::string>{"off"}) {
-    out += "] sv=[";
-    for (std::size_t i = 0; i < n.servings.size(); ++i) {
-      out += (i ? "," : "") + n.servings[i];
-    }
+    out += "] sv=[" + join_strings(n.servings);
   }
   out += fmt("] r=%zu seed=%llu h=%.6g}", n.repeats,
              static_cast<unsigned long long>(n.base_seed), n.hours);
@@ -450,10 +420,13 @@ std::optional<scenario::ScenarioSpec> scenario_by_name(const std::string& name,
   }
   if (name == "partition") {
     // 30% of the population cut off along LAN boundaries at 35% of the
-    // run, healing at 65% — the protocols then spend the last third
-    // digesting stale rejoined state (the stale-record-debt comparison).
-    spec.partitions.push_back(
-        scenario::Partition{seconds(0.35 * d), 0.30, seconds(0.30 * d)});
+    // run for min(30% of the run, 300 s) — half the 600 s INSCAN/KHDN
+    // record TTL, so parked caches still hold live records at the heal and
+    // the rejoin reconciliation (keep vs re-route) runs; the protocols
+    // then digest the stale rejoined state (the stale-record-debt
+    // comparison).
+    spec.partitions.push_back(scenario::Partition{
+        seconds(0.35 * d), 0.30, seconds(std::min(0.30 * d, 300.0))});
     return spec;
   }
   return std::nullopt;

@@ -19,16 +19,13 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/cli.hpp"
+#include "src/common/fnv.hpp"
 #include "src/core/experiment.hpp"
 
 namespace soc::sweep {
-
-/// FNV-1a 64-bit — the content hash behind cell seeds and shard ids.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view text);
 
 /// One fully-addressed point of the grid: the built ExperimentConfig plus
 /// the canonical names the sharder/merger key on.
@@ -143,8 +140,9 @@ struct SweepPreset {
 ///   flash  — join burst of nodes/4 at 25% of the run over a 10% window;
 ///   quake  — spatial mass failure of 25% of the population at mid-run;
 ///   phased — churn phases 0 → 0.5 → 0.1 at 0% / 33% / 66% of the run;
-///   partition — 30% spatial (LAN-boundary) cut at 35% of the run, healing
-///   at 65% (stale-record-debt comparison).
+///   partition — 30% spatial (LAN-boundary) cut at 35% of the run for
+///   min(30% of the run, 300 s), shorter than the record TTL so the heal
+///   reconciles live parked caches (stale-record-debt comparison).
 /// nullopt for unknown names.
 [[nodiscard]] std::optional<scenario::ScenarioSpec> scenario_by_name(
     const std::string& name, SimTime duration, std::size_t nodes);

@@ -69,17 +69,6 @@ TEST(Zone, AdjacencyRequiresPositiveOverlapElsewhere) {
   EXPECT_FALSE(a.adjacency_dim(b).has_value());
 }
 
-TEST(Zone, MergeRebuildsParent) {
-  const Zone z = Zone::unit(2);
-  const auto [lo, hi] = z.split(1);
-  const auto merged = lo.merged_with(hi);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(*merged, z);
-  // Non-siblings with different cross-sections cannot merge.
-  const auto [ll, lh] = lo.split(0);
-  EXPECT_FALSE(ll.merged_with(hi).has_value());
-}
-
 TEST(Zone, DistanceSqIsZeroInside) {
   const Zone z(Point{0.25, 0.25}, Point{0.5, 0.5});
   EXPECT_DOUBLE_EQ(z.distance_sq(Point{0.3, 0.3}), 0.0);

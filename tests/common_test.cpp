@@ -155,20 +155,6 @@ TEST(RunningStats, MeanAndVariance) {
   EXPECT_EQ(s.count(), 8u);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng r(19);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.normal(5.0, 2.0);
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.count(), all.count());
-}
-
 TEST(JainFairness, PerfectlyFairIsOne) {
   const std::vector<double> v{3.0, 3.0, 3.0};
   EXPECT_DOUBLE_EQ(jain_fairness(v), 1.0);
@@ -190,21 +176,6 @@ TEST(Percentile, InterpolatesLinearly) {
   EXPECT_DOUBLE_EQ(percentile(v, 50.0), 2.5);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);
-  h.add(0.3);
-  h.add(0.99);
-  h.add(5.0);    // clamps to last bucket
-  h.add(-1.0);   // clamps to first bucket
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(3), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 0.25);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 0.5);
-}
-
 TEST(Percentile, SingleElementIsEveryPercentile) {
   const std::vector<double> v{3.5};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 3.5);
@@ -220,56 +191,6 @@ TEST(StudentT95, TableToNormalLimitBoundary) {
   EXPECT_DOUBLE_EQ(student_t95(31), 1.960);
 }
 
-TEST(RunningStats, MergeWithEmptySideIsIdentity) {
-  RunningStats filled, empty;
-  for (const double x : {1.0, 2.0, 6.0}) filled.add(x);
-
-  RunningStats a = filled;
-  a.merge(empty);  // empty right side: no-op
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(a.variance(), filled.variance());
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-
-  RunningStats b;  // empty left side: copies the other accumulator
-  b.merge(filled);
-  EXPECT_EQ(b.count(), 3u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(b.variance(), filled.variance());
-  EXPECT_DOUBLE_EQ(b.min(), 1.0);
-  EXPECT_DOUBLE_EQ(b.max(), 6.0);
-}
-
-// Regression for the UBSan finding: add() used to cast an unclamped double
-// to std::size_t, UB for NaN, ±inf, negatives, and anything >= bins (the
-// sanitizer lane runs this test under -fsanitize=undefined).
-TEST(Histogram, NonFiniteAndOutOfRangeInputs) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(-std::numeric_limits<double>::infinity());
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(1e300);
-  h.add(-1e300);
-  // NaN belongs to no bucket: counted separately, excluded from total().
-  EXPECT_EQ(h.nan_count(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);  // -inf and -1e300 clamp low
-  EXPECT_EQ(h.count(3), 2u);  // +inf and 1e300 clamp high
-}
-
-TEST(Histogram, BoundaryValuesLandInCorrectBuckets) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.0);    // lo: first bucket
-  h.add(0.25);   // exact bucket edge: belongs to the upper bucket
-  h.add(1.0);    // hi (half-open range): clamps into the last bucket
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.nan_count(), 0u);
-}
-
 TEST(CliArgs, ParsesAllForms) {
   const char* argv[] = {"prog",     "--nodes=2000", "--lambda", "0.5",
                         "--full",   "--name",       "hid"};
@@ -278,7 +199,6 @@ TEST(CliArgs, ParsesAllForms) {
   EXPECT_DOUBLE_EQ(args.get_double("lambda", 0.0), 0.5);
   EXPECT_TRUE(args.get_bool("full", false));
   EXPECT_EQ(args.get("name", ""), "hid");
-  EXPECT_FALSE(args.has("missing"));
   EXPECT_EQ(args.get_int("missing", 9), 9);
 }
 

@@ -25,7 +25,6 @@
 // regenerate rather than debug.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -35,25 +34,11 @@
 #include <vector>
 
 #include "src/can/space.hpp"
+#include "src/common/fnv.hpp"
 #include "src/core/experiment.hpp"
 
 namespace soc {
 namespace {
-
-class Fnv64 {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add_double(double d) { add(std::bit_cast<std::uint64_t>(d)); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 // Routes, next-hop choices and directional neighbor sets over a churned
 // 2-d space.  Pins the greedy tie-break chain (containment, box distance,

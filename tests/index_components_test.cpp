@@ -116,15 +116,6 @@ TEST(PiList, SampleReturnsDistinctLiveSubset) {
   EXPECT_EQ(pi.sample(50, seconds(20), rng).size(), 10u);
 }
 
-TEST(PiList, PruneDropsExpired) {
-  PiList pi(8, seconds(10));
-  pi.add(NodeId(1), 0);
-  pi.add(NodeId(2), seconds(100));
-  pi.prune(seconds(100));
-  EXPECT_FALSE(pi.contains_live(NodeId(1), seconds(100)));
-  EXPECT_TRUE(pi.contains_live(NodeId(2), seconds(100)));
-}
-
 TEST(IndexTable, StoreAndPickByLevel) {
   IndexTable tbl(2, 2, seconds(1000));
   tbl.store(0, can::Direction::kNegative, 0, NodeId(1), 0);

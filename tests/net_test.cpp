@@ -277,8 +277,6 @@ TEST(TrafficStats, PartitionedCountsSeparatelyFromLost) {
   EXPECT_EQ(s.delivered(MsgType::kGossip), 1u);
   EXPECT_EQ(s.total_partitioned(), 1u);
   EXPECT_EQ(s.in_flight(MsgType::kGossip), 0u);
-  s.reset();
-  EXPECT_EQ(s.total_partitioned(), 0u);
 }
 
 TEST(TrafficStats, PerNodeCostAveragesTotals) {
@@ -286,8 +284,6 @@ TEST(TrafficStats, PerNodeCostAveragesTotals) {
   for (int i = 0; i < 10; ++i) s.on_send(NodeId(0), MsgType::kStateUpdate, 100);
   EXPECT_DOUBLE_EQ(s.per_node_cost(5), 2.0);
   EXPECT_EQ(s.bytes_sent(), 1000u);
-  s.reset();
-  EXPECT_EQ(s.total_sent(), 0u);
 }
 
 TEST(TrafficStats, MsgTypeNamesAreDistinct) {

@@ -51,11 +51,11 @@ TEST(ObsRegistry, SanitizeKeepsCharsetAndDefangsTheRest) {
   EXPECT_EQ(obs::Registry::sanitize(""), "");
 }
 
-TEST(ObsRegistry, SetAddGaugeAndSortedSnapshot) {
+TEST(ObsRegistry, SetGaugeAndSortedSnapshot) {
   obs::Registry reg;
   reg.set("z.gauge.value", 3.5);
-  reg.add("a.counter.hits", 2.0);
-  reg.add("a.counter.hits", 3.0);
+  reg.set("a.counter.hits", 2.0);
+  reg.set("a.counter.hits", 5.0);  // a later set replaces the value
   double backing = 7.0;
   reg.gauge("m.live.value", [&backing] { return backing; });
   backing = 11.0;  // callbacks evaluate at snapshot time, not registration

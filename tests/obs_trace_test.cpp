@@ -14,32 +14,17 @@
 //      one 'e' exists per finished task.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/common/fnv.hpp"
 #include "src/common/json_mini.hpp"
 #include "src/core/experiment.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc {
 namespace {
-
-class Fnv64 {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add_double(double d) { add(std::bit_cast<std::uint64_t>(d)); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /// Same shape as the golden-trajectory config: small, churned, all
 /// leave/rehome/timeout paths exercised.

@@ -178,53 +178,22 @@ TEST(PsmScheduler, CanAdmitAccountsForNewVmOverhead) {
   EXPECT_TRUE(sched.can_admit(ResourceVector{94, 1, 1, 1, 10}));
 }
 
-TEST(PsmScheduler, AbortRemovesTaskWithoutCallback) {
+TEST(PsmScheduler, AbortAllWithProgressFreesHostWithoutCallbacks) {
   sim::Simulator sim;
   PsmScheduler sched(sim, ResourceVector{10, 10, 10, 10, 1000},
                      no_overhead());
   bool fired = false;
   sched.set_finish_callback([&](const CompletionInfo&) { fired = true; });
-  const auto t = make_task(1, ResourceVector{2, 2, 2, 2, 100}, {1000, 0, 0});
-  ASSERT_TRUE(sched.admit(t));
-  const auto spec = sched.abort(t.id);
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->id, t.id);
-  sim.run_until(seconds(3600));
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sched.running_count(), 0u);
-  EXPECT_FALSE(sched.abort(t.id).has_value());  // double abort
-}
-
-TEST(PsmScheduler, AbortAllReturnsEverySpec) {
-  sim::Simulator sim;
-  PsmScheduler sched(sim, ResourceVector{10, 10, 10, 10, 1000},
-                     no_overhead());
   for (std::uint32_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(sched.admit(
         make_task(i, ResourceVector{1, 1, 1, 1, 50}, {100, 0, 0})));
   }
-  const auto specs = sched.abort_all();
-  EXPECT_EQ(specs.size(), 3u);
+  const auto progress = sched.abort_all_with_progress();
+  EXPECT_EQ(progress.size(), 3u);
   EXPECT_EQ(sched.running_count(), 0u);
   EXPECT_TRUE(sched.availability().dominates(ResourceVector{9, 9, 9, 9, 900}));
-}
-
-TEST(PsmScheduler, AbortSpeedsUpRemainingTask) {
-  sim::Simulator sim;
-  PsmScheduler sched(sim, ResourceVector{10, 10, 10, 10, 1000},
-                     no_overhead());
-  double exec_s = 0;
-  sched.set_finish_callback(
-      [&](const CompletionInfo& c) { exec_s = c.exec_seconds(); });
-  const auto hog = make_task(1, ResourceVector{5, 1, 1, 1, 100}, {1e6, 0, 0});
-  const auto fast = make_task(2, ResourceVector{5, 1, 1, 1, 100}, {200, 0, 0});
-  ASSERT_TRUE(sched.admit(hog));
-  ASSERT_TRUE(sched.admit(fast));
-  // At t=20 the hog is aborted; `fast` has burned 20 s × rate 5 = 100 of
-  // 200, then finishes the rest alone at rate 10 → t = 30 s total.
-  sim.schedule_at(seconds(20), [&] { sched.abort(hog.id); });
   sim.run_until(seconds(3600));
-  EXPECT_NEAR(exec_s, 30.0, 0.1);
+  EXPECT_FALSE(fired);
 }
 
 TEST(PsmScheduler, ExpectedExecSecondsUsesBottleneckDim) {

@@ -43,6 +43,7 @@
 #include <string>
 
 #include "src/common/cli.hpp"
+#include "src/common/fnv.hpp"
 #include "src/core/experiment.hpp"
 #include "src/obs/trace.hpp"
 #include "src/scenario/invariants.hpp"
@@ -146,22 +147,16 @@ std::string config_line(const core::ExperimentConfig& cfg) {
 /// fingerprint shown by --verbose (identical across replays by
 /// construction; a cheap way to demonstrate bit-identical replay).
 std::uint64_t fingerprint(const core::ExperimentResults& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(r.generated);
-  mix(r.finished);
-  mix(r.failed);
-  mix(r.total_messages);
-  mix(r.messages_delivered);
-  mix(r.messages_lost);
-  mix(r.messages_partitioned);
-  mix(r.events_executed);
-  return h;
+  Fnv64 h;
+  h.add(r.generated);
+  h.add(r.finished);
+  h.add(r.failed);
+  h.add(r.total_messages);
+  h.add(r.messages_delivered);
+  h.add(r.messages_lost);
+  h.add(r.messages_partitioned);
+  h.add(r.events_executed);
+  return h.value();
 }
 
 struct ScheduleOutcome {

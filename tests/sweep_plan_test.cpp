@@ -119,5 +119,23 @@ TEST(SweepPlan, RejectsMalformedCountFlags) {
   EXPECT_FALSE(fs::exists(dir));
 }
 
+// A mistyped --mode is refused before --dir is created, like a malformed
+// count flag: a typo must not leave an empty sweep directory behind.
+TEST(SweepPlan, RejectsUnknownModeBeforeCreatingDir) {
+  const std::string dir = (fs::temp_directory_path() /
+                           ("soc_sweepmode_" + std::to_string(::getpid())))
+                              .string();
+  fs::remove_all(dir);
+  int rc = 0;
+  const std::string out = run(std::string(SOC_SWEEP_BIN) +
+                                  " --mode=bogus --dir=" + dir + kSpec +
+                                  " 2>&1",
+                              &rc);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  EXPECT_EQ(WEXITSTATUS(rc), 2) << out;
+  EXPECT_NE(out.find("unknown --mode 'bogus'"), std::string::npos) << out;
+  EXPECT_FALSE(fs::exists(dir));
+}
+
 }  // namespace
 }  // namespace soc::sweep

@@ -14,6 +14,8 @@
 #include <set>
 
 #include "src/common/stats.hpp"
+#include "src/index/inscan.hpp"
+#include "src/khdn/khdn.hpp"
 #include "src/sweep/io.hpp"
 #include "src/sweep/merge.hpp"
 #include "src/sweep/runner.hpp"
@@ -179,6 +181,20 @@ TEST(SweepRunner, ShardResultRoundTripsThroughJson) {
     }
     EXPECT_TRUE(shard_complete(dir.path(), shard, fp, shards.size()));
   }
+}
+
+/// Shard ids still lacking a valid result file — the resume set, judged
+/// by the same shard_complete check the orchestrator skips on.
+std::vector<std::size_t> pending_shards(const std::string& dir,
+                                        const std::vector<Shard>& shards,
+                                        std::uint64_t fp) {
+  std::vector<std::size_t> pending;
+  for (const Shard& shard : shards) {
+    if (!shard_complete(dir, shard, fp, shards.size())) {
+      pending.push_back(shard.id);
+    }
+  }
+  return pending;
 }
 
 TEST(SweepRunner, ResumeSetShrinksAsShardResultsLand) {
@@ -546,6 +562,24 @@ TEST(SweepSpec, ServingAxisEnumeratesAndKeepsOffKeysStable) {
       by_key.at("HID-CAN/l0.5/n24/none/c0/base/closed+zipf/r0");
   EXPECT_TRUE(both->config.serving.closed_loop());
   EXPECT_TRUE(both->config.serving.skewed());
+}
+
+// The partition preset must heal while parked caches still hold live
+// records: a cut longer than the record TTL expires every parked record,
+// and the rejoin reconciliation (keep vs re-route) would never run.
+TEST(SweepPresets, PartitionCutIsShorterThanRecordTtlAndHealsInRun) {
+  const SimTime ttl = std::min(index::InscanConfig{}.record_ttl,
+                               khdn::KhdnConfig{}.record_ttl);
+  for (const double hours : {0.5, 1.0, 6.0, 24.0}) {
+    const SimTime d = seconds(hours * 3600.0);
+    const auto spec = scenario_by_name("partition", d, 96);
+    ASSERT_TRUE(spec.has_value());
+    ASSERT_EQ(spec->partitions.size(), 1u);
+    const scenario::Partition& p = spec->partitions.front();
+    EXPECT_GT(p.duration, 0) << hours << " h";
+    EXPECT_LT(p.duration, ttl) << hours << " h";
+    EXPECT_LT(p.at + p.duration, d) << hours << " h";
+  }
 }
 
 TEST(SweepPresets, ServingPresetSpansTheLoopAndSkewAxes) {

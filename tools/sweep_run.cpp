@@ -124,6 +124,15 @@ void list_presets() {
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string mode = args.get("mode", "orchestrate");
+  // Reject a bad mode before --dir is created or checked.
+  if (mode != "orchestrate" && mode != "local" && mode != "worker" &&
+      mode != "plan" && mode != "merge") {
+    std::fprintf(stderr,
+                 "sweep_run: unknown --mode '%s' "
+                 "(orchestrate|local|worker|plan|merge)\n",
+                 mode.c_str());
+    return 2;
+  }
   const std::string dir = args.get("dir", "sweep-out");
   const auto shards_flag = args.get_count("shards", 8);
   const auto shard_id = args.get_count("shard", SIZE_MAX);  // worker mode
@@ -247,43 +256,36 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (mode == "orchestrate" || mode == "local") {
-    if (!trace_path.empty()) {
-      if (mode == "orchestrate") {
-        // Worker processes each need their own trace file; use
-        // --mode=worker --trace=... per shard (see --mode=plan).
-        std::fprintf(stderr,
-                     "sweep_run: --trace needs --mode=local or "
-                     "--mode=worker (one file per process)\n");
-        return 2;
-      }
-      obs::install_tracer(&tracer);
+  // orchestrate | local
+  if (!trace_path.empty()) {
+    if (mode == "orchestrate") {
+      // Worker processes each need their own trace file; use
+      // --mode=worker --trace=... per shard (see --mode=plan).
+      std::fprintf(stderr,
+                   "sweep_run: --trace needs --mode=local or "
+                   "--mode=worker (one file per process)\n");
+      return 2;
     }
-    sweep::OrchestrateOptions options;
-    options.dir = dir;
-    options.workers = *workers;
-    if (mode == "orchestrate") options.worker_binary = self_exe(argv[0]);
-    const auto outcome = sweep::orchestrate(spec, shards_total, options);
-    if (!trace_path.empty()) {
-      obs::install_tracer(nullptr);
-      if (!tracer.export_json(trace_path)) {
-        std::fprintf(stderr, "sweep_run: cannot write %s\n",
-                     trace_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
-                  tracer.event_count());
-    }
-    if (!outcome.has_value()) return 2;
-    std::printf("shards: %zu ran, %zu resumed as done, %zu failed\n",
-                outcome->ran, outcome->skipped, outcome->failed);
-    if (!outcome->ok()) return 1;
-    return run_merge(dir, spec, shards_total, merged_path, render_series);
+    obs::install_tracer(&tracer);
   }
-
-  std::fprintf(stderr,
-               "sweep_run: unknown --mode '%s' "
-               "(orchestrate|local|worker|plan|merge)\n",
-               mode.c_str());
-  return 2;
+  sweep::OrchestrateOptions options;
+  options.dir = dir;
+  options.workers = *workers;
+  if (mode == "orchestrate") options.worker_binary = self_exe(argv[0]);
+  const auto outcome = sweep::orchestrate(spec, shards_total, options);
+  if (!trace_path.empty()) {
+    obs::install_tracer(nullptr);
+    if (!tracer.export_json(trace_path)) {
+      std::fprintf(stderr, "sweep_run: cannot write %s\n",
+                   trace_path.c_str());
+      return 1;
+    }
+    std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
+                tracer.event_count());
+  }
+  if (!outcome.has_value()) return 2;
+  std::printf("shards: %zu ran, %zu resumed as done, %zu failed\n",
+              outcome->ran, outcome->skipped, outcome->failed);
+  if (!outcome->ok()) return 1;
+  return run_merge(dir, spec, shards_total, merged_path, render_series);
 }
